@@ -46,17 +46,13 @@ from .identities import (
     CheckRecord,
     IdentityDescriptor,
     check_grid,
-    default_grid,
-    eval_identity,
-    faa_di_bruno_derivative,
-    list_identities,
-)
-from .quad import (
-    IntegralSpec,
-    QuadResult,
     check_integral_j1,
     check_integral_j2,
     check_integral_j3,
-    integrate_semi_infinite,
+    default_grid,
+    eval_identity,
+    faa_di_bruno_derivative,
     laplace_hyp_check,
+    list_identities,
 )
+from .quad import IntegralSpec, QuadResult, integrate_semi_infinite

@@ -22,28 +22,20 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from random import Random
+from dataclasses import dataclass
 
 from . import __version__
 from .errors import DomainError, TrihypError
 from .identities import (
     CheckRecord,
     DEFAULT_SEED,
+    check_point,
     default_grid,
     eval_identity,
     get_identity,
     list_identities,
 )
-from .quad import (
-    IntegralSpec,
-    check_integral_j1,
-    check_integral_j2,
-    check_integral_j3,
-    integrate_semi_infinite,
-    laplace_hyp_check,
-    laplace_random_draw,
-)
+from .quad import IntegralSpec, integrate_semi_infinite
 from .roots import (
     TrinomialInstance,
     residual,
@@ -90,72 +82,13 @@ def format_value(z) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}i"
 
 
-# --------------------------------------------------------------------------
-# sweepable check registry: the identity catalog plus the integral checks
-# --------------------------------------------------------------------------
-
-_CLI_TOLS = {"I14": 1e-6, "I15": 1e-6, "I16": 1e-6, "I17": 1e-6,
-             "J0": 1e-7, "J1": 1e-6, "J2": 1e-6, "J3": 1e-5}
-_INTEGRAL_IDS = ("J0", "J1", "J2", "J3")
-
-
 def default_tolerance(check_id: str) -> float:
-    return _CLI_TOLS.get(check_id, 1e-8)
+    return get_identity(check_id).tolerance
 
 
-def all_check_ids() -> list:
-    return [d.id for d in list_identities()] + list(_INTEGRAL_IDS)
-
-
-def integral_default_grid(check_id: str, seed: int = DEFAULT_SEED) -> list:
-    if check_id == "J0":
-        rng = Random(f"{seed}:J0")
-        return [laplace_random_draw(rng) for _ in range(10)]
-    if check_id == "J1":
-        return [
-            {"n": n, "s": s, "x": x}
-            for n in (0, 1, 2)
-            for s, x in ((2.0, 1.0), (1.0, 0.5), (3.0, 2.0))
-        ]
-    if check_id == "J2":
-        return [
-            {"n": n, "p": p, "x": x}
-            for n in (1, 2)
-            for p, x in ((1.0, 1.0), (2.0, 0.5), (0.0, 1.0))
-        ]
-    if check_id == "J3":
-        return [
-            {"p": p, "x": x}
-            for p, x in ((1.0, 1.0), (2.0, 0.5), (1.5, 1.0), (3.0, 0.8))
-        ]
-    raise DomainError(f"unknown integral check {check_id!r}")
-
-
+# kept as a named per-point entry for the benchmark tracer (bench/tracing.py)
 def eval_check_point(check_id: str, params: dict, tol: float) -> CheckRecord:
-    if check_id in _INTEGRAL_IDS:
-        try:
-            if check_id == "J0":
-                return laplace_hyp_check(
-                    params["a"], params["b"], params["alpha"], params["s"],
-                    params["x"], tol,
-                )
-            if check_id == "J1":
-                return check_integral_j1(int(params["n"]), params["s"], params["x"], tol)
-            if check_id == "J2":
-                return check_integral_j2(int(params["n"]), params["p"], params["x"], tol)
-            return check_integral_j3(params["p"], params["x"], tol)
-        except DomainError:
-            # grid points violating an integral's hypotheses are skipped,
-            # mirroring the identity-sweep semantics
-            return CheckRecord(check_id, dict(params, tol=tol), None, None,
-                               math.nan, math.nan, "skipped_domain")
     return eval_identity(check_id, params, tol)
-
-
-def check_default_grid(check_id: str, seed: int) -> list:
-    if check_id in _INTEGRAL_IDS:
-        return integral_default_grid(check_id, seed)
-    return default_grid(check_id, count=200, seed=seed)
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +98,7 @@ def check_default_grid(check_id: str, seed: int) -> list:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    identity_ids: tuple = ()  # empty means every registered check
+    identity_ids: tuple = ()  # empty means every catalog entry
     grid: dict | None = None  # per-parameter {min,max,count} or explicit list
     tolerance: float | None = None  # None: per-id defaults
     seed: int = DEFAULT_SEED
@@ -173,9 +106,13 @@ class SweepConfig:
     output_path: str = "trihyp-report.json"
 
     def resolved_ids(self) -> list:
+        # quadrature entries last: the pool cuts the work into equal-count
+        # chunks in order, and in id order all the costly default integral
+        # points fall into one chunk (the default sweep then ran ~30% slower
+        # at --jobs 2 on a 2-CPU machine)
+        known = [d.id for d in sorted(list_identities(), key=lambda d: d.quadrature)]
         if not self.identity_ids:
-            return all_check_ids()
-        known = set(all_check_ids())
+            return known
         for cid in self.identity_ids:
             if cid not in known:
                 raise DomainError(f"unknown check id {cid!r}")
@@ -211,7 +148,7 @@ def _grid_param_values(name: str, spec) -> list:
 def sweep_points(check_id: str, config: SweepConfig) -> list:
     """Parameter points for one check id under the given config."""
     if not config.grid:
-        return check_default_grid(check_id, config.seed)
+        return default_grid(check_id, seed=config.seed)
     names = sorted(config.grid)
     columns = [_grid_param_values(n, config.grid[n]) for n in names]
     points = [{}]
@@ -219,18 +156,13 @@ def sweep_points(check_id: str, config: SweepConfig) -> list:
         points = [dict(p, **{name: v}) for v in values for p in points]
     # parameters not covered by the explicit grid fall back to the
     # default-grid values for this id, cycling by point index
-    fallback = check_default_grid(check_id, config.seed)
+    fallback = default_grid(check_id, seed=config.seed)
     out = []
     for i, p in enumerate(points):
         base = dict(fallback[i % len(fallback)])
         base.update(p)
         out.append(base)
     return out
-
-
-def _run_point(job):
-    check_id, params, tol = job
-    return eval_check_point(check_id, params, tol)
 
 
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
@@ -250,9 +182,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(todo) > 8:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_point, todo, chunksize=max(1, len(todo) // (4 * jobs))))
+            records = list(pool.map(eval_check_point, *zip(*todo),
+                                    chunksize=max(1, len(todo) // (4 * jobs))))
     else:
-        records = [_run_point(job) for job in todo]
+        records = [eval_check_point(*job) for job in todo]
     records.sort(key=_record_sort_key)
     summary = {"total": len(records), "pass": 0, "fail": 0,
                "skipped_domain": 0, "divergent_both": 0}
@@ -552,23 +485,17 @@ def _cmd_integrate(args) -> int:
             print(f"value = {format_value(res.value)}")
             print(f"est_error = {res.est_error:.3e}  evaluations = {res.evaluations}")
             return EXIT_OK
-        params = {}
-        for key in ("n", "s", "x", "p"):
-            v = getattr(args, key)
-            if v is not None:
-                params[key] = int(v) if key == "n" else parse_complex(v)
-        if args.integrand == "J1":
-            rec = check_integral_j1(params["n"], params["s"], params["x"], tol)
-        elif args.integrand == "J2":
-            rec = check_integral_j2(params["n"], params["p"], params["x"], tol)
-        elif args.integrand == "J3":
-            rec = check_integral_j3(params["p"], params["x"], tol)
-        else:
+        integrals = {d.id: d for d in list_identities() if d.quadrature}
+        if args.integrand not in integrals:
             print(f"error: unknown integrand {args.integrand!r}", file=sys.stderr)
             return EXIT_USAGE
-    except KeyError as exc:
-        print(f"error: missing parameter --{exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+        params = {key: parse_complex(getattr(args, key)) for key in ("n", "s", "x", "p")
+                  if getattr(args, key) is not None}
+        for spec in integrals[args.integrand].params:
+            if spec.name not in params:
+                print(f"error: missing parameter --{spec.name}", file=sys.stderr)
+                return EXIT_USAGE
+        rec = check_point(args.integrand, params, tol)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -625,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=_cmd_check)
 
     p_int = sub.add_parser("integrate", help="semi-infinite quadrature")
-    p_int.add_argument("integrand", help="J1 | J2 | J3 | custom")
+    p_int.add_argument("integrand", help="an integral id of the catalog, or custom")
     p_int.add_argument("expr", nargs="?", help="expression in t for custom")
     p_int.add_argument("--n", help="integer parameter")
     p_int.add_argument("--s", help="complex parameter")

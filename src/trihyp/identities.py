@@ -1,13 +1,15 @@
-"""Catalog of special-function reduction identities with a differential
-checker.
+"""Catalog of special-function reduction identities and semi-infinite
+integrals, with a differential checker.
 
 Every entry pairs the special-function side (LHS, evaluated through the
-:mod:`trihyp.specfun` series machinery) with an independently coded
-elementary side (RHS).  The two sides share nothing but ``specfun``
-primitives, so agreement on sampled parameters is a genuine
-cross-check.  Each entry also carries a domain predicate encoding the
-piecewise exclusions and the numerically validated branch region, plus
-a deterministic sampler for that domain.
+:mod:`trihyp.specfun` series machinery, or for the integrals J0-J3 by
+:mod:`trihyp.quad` quadrature) with an independently coded elementary
+side (RHS).  The two sides share nothing but ``specfun`` primitives, so
+agreement on sampled parameters is a genuine cross-check.  Each entry
+also carries a domain predicate encoding the piecewise exclusions, the
+numerically validated branch region or the integral's hypotheses, a
+deterministic sampler for that domain, and its default tolerance and
+grid size.
 
 Several printed elementary forms contain a bracket of the shape
 ``1 - (truncated binomial series)`` whose value shrinks like t^(n+1);
@@ -29,7 +31,6 @@ from .errors import DivergenceError, DomainError
 from .specfun import (
     HypergeometricSpec,
     bell_polynomial,
-    gamma,
     hyp1f1,
     hyp2f1,
     hyp3f2,
@@ -40,6 +41,7 @@ from .specfun import (
     lower_incomplete_gamma,
     pochhammer,
 )
+from . import quad
 from .roots import g_function
 
 __all__ = [
@@ -48,6 +50,11 @@ __all__ = [
     "list_identities",
     "get_identity",
     "eval_identity",
+    "check_point",
+    "check_integral_j1",
+    "check_integral_j2",
+    "check_integral_j3",
+    "laplace_hyp_check",
     "check_grid",
     "default_grid",
     "faa_di_bruno_derivative",
@@ -68,7 +75,7 @@ _SQRT_PI = math.sqrt(math.pi)
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
-    kind: str  # "int" | "complex"
+    kind: str  # "int" | "complex" | "complex_tuple"
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,9 @@ class IdentityDescriptor:
     sample: Callable[[Random], dict] = field(repr=False, default=lambda rng: {})
     special_points: tuple = ()
     notes: str = ""
+    tolerance: float = 1e-8  # default tolerance of a sweep
+    grid_size: int = 200  # points of the default grid, special points first
+    quadrature: bool = False  # LHS by quadrature to tol/10: it takes tol, and records keep it
 
 
 @dataclass(frozen=True)
@@ -453,10 +463,6 @@ _P_Z = (ParamSpec("z", "complex"),)
 _P_NZ = (ParamSpec("n", "int"), ParamSpec("z", "complex"))
 
 
-def _entry(**kw) -> IdentityDescriptor:
-    return IdentityDescriptor(**kw)
-
-
 _CATALOG: dict[str, IdentityDescriptor] = {}
 
 
@@ -467,7 +473,7 @@ def _register(desc: IdentityDescriptor):
 
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I01",
         params=_P_T,
         domain="|t| <= 0.92 union {t = 1}",
@@ -481,7 +487,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I02",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
@@ -495,7 +501,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I03",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
@@ -509,7 +515,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I04",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
@@ -523,7 +529,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I05",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
@@ -537,7 +543,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I06",
         params=_P_NT,
         domain="n in 0..6, |t| <= 0.92; t = 1 excluded (both sides divergent)",
@@ -553,7 +559,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I07",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
@@ -567,7 +573,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I08",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
@@ -581,7 +587,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I09",
         params=_P_NT,
         domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
@@ -596,7 +602,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I10",
         params=_P_NT,
         domain="n in 1..4, t real in [-6, 0]; branch-valid only on the negative real axis",
@@ -614,7 +620,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I11",
         params=_P_NT,
         domain="n in 1..6, |t| <= 3 (series terminates, any finite t works)",
@@ -632,7 +638,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I12",
         params=_P_NT,
         domain="n in 1..4, t real with |t| <= 0.99 (Ferrers region)",
@@ -648,7 +654,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I13",
         params=_P_Z,
         domain="|z| <= 0.95 union {z = 1}",
@@ -662,7 +668,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I14",
         params=_P_NZ,
         domain="n in 1..3, z real in (0, 0.97]; Bell form is branch-valid on (0,1) only",
@@ -676,11 +682,12 @@ _register(
         and 0.005 <= complex(z).real <= 0.97,
         sample=lambda rng: {"n": rng.randrange(1, 4), "z": rng.uniform(0.005, 0.97)},
         special_points=({"n": 1, "z": 0.25}, {"n": 2, "z": 0.5}, {"n": 3, "z": 0.1}),
+        tolerance=1e-6,
     )
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I15",
         params=_P_Z,
         domain="0 < |z| <= 0.95 union {z = 1}",
@@ -690,11 +697,12 @@ _register(
         in_domain=lambda z: (_in_disc(z, 0.95) and abs(complex(z)) > 1e-8) or z == 1,
         sample=lambda rng: {"z": _disc(rng, 0.95, min_abs=1e-3)},
         special_points=({"z": 1.0}, {"z": 0.5}, {"z": -0.5}),
+        tolerance=1e-6,
     )
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I16",
         params=_P_Z,
         domain="|z| <= 0.95 with |4z/(1-z)^2| <= 0.95, z != 0",
@@ -706,6 +714,7 @@ _register(
         and abs(4.0 * complex(z) / (1.0 - complex(z)) ** 2) <= 0.95,
         sample=lambda rng: _sample_i16(rng),
         special_points=({"z": 0.1}, {"z": -0.5}, {"z": 0.15}),
+        tolerance=1e-6,
     )
 )
 
@@ -718,7 +727,7 @@ def _sample_i16(rng: Random) -> dict:
 
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I17",
         params=_P_Z,
         domain="0 < |z| <= 0.95, or z real in [-6, 0), or z = 1",
@@ -736,11 +745,12 @@ _register(
             else {"z": rng.uniform(-6.0, -0.05)}
         ),
         special_points=({"z": 1.0}, {"z": 0.5}),
+        tolerance=1e-6,
     )
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="I18",
         params=_P_NT,
         domain="n in 0..5, 0 < |t| <= 0.92 (shared domain of the equivalent forms)",
@@ -756,7 +766,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="K01",
         params=_P_NZ,
         domain="n in 1..5, |z| <= 8",
@@ -770,7 +780,7 @@ _register(
 )
 
 _register(
-    _entry(
+    IdentityDescriptor(
         id="K02",
         params=_P_NZ,
         domain="n in 1..5, |z| <= 8",
@@ -780,6 +790,86 @@ _register(
         in_domain=lambda n, z: _int_in(n, 1, 5) and abs(complex(z)) <= 8.0,
         sample=lambda rng: {"n": rng.randrange(1, 6), "z": _disc(rng, 8.0)},
         special_points=({"n": 1, "z": 0.0}, {"n": 2, "z": 1.5}),
+    )
+)
+
+
+# --------------------------------------------------------------------------
+# the semi-infinite integrals: quadrature (LHS) against the closed form (RHS)
+# --------------------------------------------------------------------------
+
+_register(
+    IdentityDescriptor(
+        id="J0",
+        params=(ParamSpec("a", "complex_tuple"), ParamSpec("b", "complex_tuple"),
+                ParamSpec("alpha", "complex"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
+        domain="p = len(a) <= q = len(b), Re s > 0, Re alpha > 0, |x/s| < 1, "
+        "and Re(s - x) > 0 when p = q",
+        lhs=quad.laplace_integral,
+        rhs=quad.laplace_closed_form,
+        anchor="Laplace lemma: int_0^inf e^(-st) t^(alpha-1) pFq(a; b; xt) dt "
+        "= Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)",
+        in_domain=lambda a, b, alpha, s, x: len(a) <= len(b)
+        and s.real > 0
+        and alpha.real > 0
+        and abs(x) < abs(s)
+        and (len(a) < len(b) or (s - x).real > 0),
+        sample=quad.laplace_random_draw,
+        tolerance=1e-7,
+        grid_size=10,
+        quadrature=True,
+    )
+)
+
+_register(
+    IdentityDescriptor(
+        id="J1",
+        params=(ParamSpec("n", "int"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
+        domain="n >= 0, Re s > 0, Re(s + x) > 0",
+        lhs=quad.j1_integral,
+        rhs=quad.j1_closed_form,
+        anchor="int_0^inf e^(-st) t^(-3/2) gamma(n+1, xt) dt in closed form",
+        in_domain=lambda n, s, x: n >= 0 and s.real > 0 and (s + x).real > 0,
+        special_points=tuple({"n": n, "s": s, "x": x} for n in (0, 1, 2)
+                             for s, x in ((2.0, 1.0), (1.0, 0.5), (3.0, 2.0))),
+        tolerance=1e-6,
+        grid_size=9,
+        quadrature=True,
+    )
+)
+
+_register(
+    IdentityDescriptor(
+        id="J2",
+        params=(ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
+        domain="n >= 1; Re p > 0 and Re(p + x) > 0, or p = 0 (algebraic tail) with Re x > 0",
+        lhs=quad.j2_integral,
+        rhs=quad.j2_closed_form,
+        anchor="int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt in piecewise closed form",
+        in_domain=lambda n, p, x: n >= 1
+        and (x.real > 0 if p == 0 else p.real > 0 and (p + x).real > 0),
+        special_points=tuple({"n": n, "p": p, "x": x} for n in (1, 2)
+                             for p, x in ((1.0, 1.0), (2.0, 0.5), (0.0, 1.0))),
+        tolerance=1e-6,
+        grid_size=6,
+        quadrature=True,
+    )
+)
+
+_register(
+    IdentityDescriptor(
+        id="J3",
+        params=(ParamSpec("p", "complex"), ParamSpec("x", "complex")),
+        domain="real x > 0 (the cylinder function's supported range), Re(2p - x) > 0",
+        lhs=quad.j3_integral,
+        rhs=quad.j3_closed_form,
+        anchor="int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt in closed form",
+        in_domain=lambda p, x: x.imag == 0.0 and x.real > 0.0 and (2.0 * p - x).real > 0,
+        special_points=tuple({"p": p, "x": x}
+                             for p, x in ((1.0, 1.0), (2.0, 0.5), (1.5, 1.0), (3.0, 0.8))),
+        tolerance=1e-5,
+        grid_size=4,
+        quadrature=True,
     )
 )
 
@@ -809,9 +899,13 @@ def _coerce_params(desc: IdentityDescriptor, params: Mapping) -> dict:
         v = params[spec.name]
         if spec.kind == "int":
             iv = int(round(v.real if isinstance(v, complex) else v))
-            if iv != (v.real if isinstance(v, complex) else v):
+            if iv != v:
                 raise DomainError(f"{desc.id}: parameter {spec.name} must be an integer")
             out[spec.name] = iv
+        elif spec.kind == "complex_tuple":
+            if not isinstance(v, (tuple, list)):
+                raise DomainError(f"{desc.id}: parameter {spec.name} must be a list of numbers")
+            out[spec.name] = tuple(complex(x) for x in v)
         else:
             out[spec.name] = complex(v)
     extra = set(params) - {p.name for p in desc.params}
@@ -820,7 +914,9 @@ def _coerce_params(desc: IdentityDescriptor, params: Mapping) -> dict:
     return out
 
 
-def _record(desc, params, lv, rv, tol):
+def _record(identity_id, params, lv, rv, tol) -> CheckRecord:
+    """The verdict rule: relative error within tol, or absolute error
+    within tol where |lhs| < 1."""
     abs_err = abs(lv - rv)
     if lv == 0:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
@@ -828,38 +924,76 @@ def _record(desc, params, lv, rv, tol):
         rel_err = abs_err / abs(lv)
     ok = rel_err <= tol or (abs_err <= tol and abs(lv) < 1.0)
     return CheckRecord(
-        desc.id, params, lv, rv, abs_err, rel_err, "pass" if ok else "fail"
+        identity_id, params, lv, rv, abs_err, rel_err, "pass" if ok else "fail"
     )
 
 
-def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
-    """Differentially evaluate one identity at one parameter point.
+def _side(fn, p):
+    """One side's value, or None where it diverges."""
+    try:
+        return fn(**p)
+    except DivergenceError:
+        return None
 
-    Points where exactly one side diverges count as ``fail``; points
-    where both sides are genuinely infinite (the divergent rows of the
-    piecewise forms) come back as ``divergent_both``.
+
+def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
+    """Differentially evaluate one catalog entry at one parameter point.
+
+    Points outside the entry's domain, or that an evaluator rejects with
+    :class:`DomainError` (a quadrature node beyond a special function's
+    range), come back as ``skipped_domain``.  Points where exactly one
+    side diverges count as ``fail``; points where both sides are
+    genuinely infinite (the divergent rows of the piecewise forms) come
+    back as ``divergent_both``.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
     desc = get_identity(identity_id)
     p = _coerce_params(desc, params)
+    point = dict(p, tol=tol) if desc.quadrature else p  # what the LHS takes and the record keeps
+    skipped = CheckRecord(desc.id, point, None, None, math.nan, math.nan, "skipped_domain")
     if not desc.in_domain(**p):
-        return CheckRecord(desc.id, p, None, None, math.nan, math.nan, "skipped_domain")
+        return skipped
     try:
-        lv = desc.lhs(**p)
-        l_div = False
-    except DivergenceError:
-        lv, l_div = None, True
-    try:
-        rv = desc.rhs(**p)
-        r_div = False
-    except DivergenceError:
-        rv, r_div = None, True
-    if l_div and r_div:
-        return CheckRecord(desc.id, p, None, None, 0.0, 0.0, "divergent_both")
-    if l_div or r_div:
-        return CheckRecord(desc.id, p, lv, rv, math.inf, math.inf, "fail")
-    return _record(desc, p, lv, rv, tol)
+        lv, rv = _side(desc.lhs, point), _side(desc.rhs, p)
+    except DomainError:
+        return skipped
+    if lv is None and rv is None:
+        return CheckRecord(desc.id, point, None, None, 0.0, 0.0, "divergent_both")
+    if lv is None or rv is None:
+        return CheckRecord(desc.id, point, lv, rv, math.inf, math.inf, "fail")
+    return _record(desc.id, point, lv, rv, tol)
+
+
+def check_point(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
+    """:func:`eval_identity` at a single point, where a point outside the
+    entry's domain raises :class:`DomainError` instead of giving a
+    ``skipped_domain`` record."""
+    rec = eval_identity(identity_id, params, tol)
+    if rec.verdict == "skipped_domain":
+        domain = get_identity(identity_id).domain
+        raise DomainError(f"{identity_id}: point outside the supported domain ({domain})")
+    return rec
+
+
+def laplace_hyp_check(a_list, b_list, alpha, s, x, tol) -> CheckRecord:
+    """:func:`check_point` of the Laplace lemma J0."""
+    return check_point("J0", {"a": a_list, "b": b_list, "alpha": alpha, "s": s, "x": x}, tol)
+
+
+def check_integral_j1(n: int, s, x, tol) -> CheckRecord:
+    """:func:`check_point` of the integral J1."""
+    return check_point("J1", {"n": n, "s": s, "x": x}, tol)
+
+
+def check_integral_j2(n: int, p, x, tol) -> CheckRecord:
+    """:func:`check_point` of the integral J2."""
+    return check_point("J2", {"n": n, "p": p, "x": x}, tol)
+
+
+def check_integral_j3(p, x, tol) -> CheckRecord:
+    """:func:`check_point` of the integral J3."""
+    return check_point("J3", {"p": p, "x": x}, tol)
 
 
 def check_grid(identity_id: str, grid: Sequence, tol: float) -> list:
@@ -878,10 +1012,13 @@ def check_grid(identity_id: str, grid: Sequence, tol: float) -> list:
     return records
 
 
-def default_grid(identity_id: str, count: int = 200, seed: int = DEFAULT_SEED) -> list:
+def default_grid(identity_id: str, count: int | None = None, seed: int = DEFAULT_SEED) -> list:
     """Deterministic pseudo-random sample of the entry's declared domain,
-    with the piecewise special points prepended."""
+    with the piecewise special points prepended; ``count`` defaults to
+    the entry's grid size."""
     desc = get_identity(identity_id)
+    if count is None:
+        count = desc.grid_size
     rng = Random(f"{seed}:{identity_id}")
     points = [dict(p) for p in desc.special_points[:count]]
     while len(points) < count:

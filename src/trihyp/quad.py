@@ -1,6 +1,6 @@
 """Semi-infinite quadrature with endpoint-singularity handling, plus the
-differential checks of the catalog's three integral identities and the
-Laplace-transform lemma for hypergeometric integrands.
+integrands and closed forms of the catalog's three integral identities
+and of the Laplace-transform lemma for hypergeometric integrands.
 
 The core rule is double-exponential (tanh-sinh) quadrature on a finite
 window [0, T] chosen from the integrand's exponential decay rate, with
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BudgetError, DomainError
-from .identities import CheckRecord
 from .specfun import (
     HypergeometricSpec,
     gamma,
@@ -32,13 +31,14 @@ __all__ = [
     "IntegralSpec",
     "QuadResult",
     "integrate_semi_infinite",
-    "laplace_hyp_check",
+    "laplace_integral",
+    "laplace_closed_form",
     "laplace_random_draw",
-    "check_integral_j1",
-    "check_integral_j2",
-    "check_integral_j3",
+    "j1_integral",
     "j1_closed_form",
+    "j2_integral",
     "j2_closed_form",
+    "j3_integral",
     "j3_closed_form",
 ]
 
@@ -232,57 +232,41 @@ def integrate_semi_infinite(
 
 
 # --------------------------------------------------------------------------
-# differential checks of the integral identities
+# the catalog integrals J0-J3: quadrature to tol/10 and the closed forms
+#
+# The hypotheses of each integral are the domain rule of its catalog entry
+# (trihyp.identities); the functions below assume them.
 # --------------------------------------------------------------------------
 
 
-def _make_record(identity_id, params, lhs, rhs, tol) -> CheckRecord:
-    abs_err = abs(lhs - rhs)
-    rel_err = abs_err / abs(lhs) if lhs != 0 else (0.0 if abs_err == 0.0 else math.inf)
-    ok = rel_err <= tol or (abs_err <= tol and abs(lhs) < 1.0)
-    return CheckRecord(identity_id, params, lhs, rhs, abs_err, rel_err, "pass" if ok else "fail")
+def _quadrature(integrand_id, f, singular_exponent, decay_rate, tol) -> complex:
+    """The integral of ``f`` to a tenth of the check tolerance ``tol``."""
+    spec = IntegralSpec(integrand_id, singular_exponent=singular_exponent,
+                        decay_rate=decay_rate, integrand=f)
+    return integrate_semi_infinite(spec, tol / 10.0).value
 
 
-def laplace_hyp_check(a_list, b_list, alpha, s, x, tol, max_evals=DEFAULT_BUDGET) -> CheckRecord:
-    """Check the Laplace transform of pFq(x t) against
-    Gamma(alpha) s^-alpha p+1Fq(..., alpha; ...; x/s) by quadrature.
-
-    Requires p <= q, Re s > 0, Re alpha > 0, |x/s| < 1; for p = q the
-    integrand grows like e^(x t), so Re(s - x) > 0 is enforced as well.
-    """
-    a = tuple(complex(v) for v in a_list)
-    b = tuple(complex(v) for v in b_list)
-    alpha, s, x = complex(alpha), complex(s), complex(x)
-    if len(a) > len(b):
-        raise DomainError("laplace_hyp_check needs p <= q")
-    if s.real <= 0 or alpha.real <= 0:
-        raise DomainError("laplace_hyp_check needs Re s > 0 and Re alpha > 0")
-    if abs(x) >= abs(s):
-        raise DomainError("laplace_hyp_check needs |x/s| < 1")
-    if len(a) == len(b) and (s - x).real <= 0:
-        raise DomainError("integrand does not decay: Re(s - x) <= 0 with p = q")
+def laplace_integral(a, b, alpha, s, x, tol) -> complex:
+    """int_0^inf e^(-st) t^(alpha-1) pFq(a; b; x t) dt (the Laplace lemma, J0)."""
 
     def f(t: float) -> complex:
         df = hyp_pfq(HypergeometricSpec.of(a, b, x * t)).value
         return cmath.exp(-s * t) * t ** (alpha - 1.0) * df
 
+    # for p = q the integrand grows like e^(x t)
     decay = (s - x).real if len(a) == len(b) and x.real > 0 else 0.6 * s.real
-    spec = IntegralSpec(
-        "J0_laplace_hyp",
-        {"a": a, "b": b, "alpha": alpha, "s": s, "x": x},
-        singular_exponent=min(max(alpha.real - 1.0, -0.999), 0.0),
-        decay_rate=decay,
-        integrand=f,
-    )
-    lhs = integrate_semi_infinite(spec, tol / 10.0, max_evals).value
-    rhs = gamma(alpha) * s ** (-alpha) * hyp_pfq(
+    return _quadrature("J0_laplace_hyp", f, min(max(alpha.real - 1.0, -0.999), 0.0), decay, tol)
+
+
+def laplace_closed_form(a, b, alpha, s, x) -> complex:
+    """Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)."""
+    return gamma(alpha) * s ** (-alpha) * hyp_pfq(
         HypergeometricSpec.of(a + (alpha,), b, x / s)
     ).value
-    return _make_record("J0", dict(spec.params, tol=tol), lhs, rhs, tol)
 
 
 def laplace_random_draw(rng) -> dict:
-    """One admissible random parameter set for :func:`laplace_hyp_check`."""
+    """One admissible random parameter set of the Laplace lemma (J0)."""
     p, q = rng.choice(((0, 1), (1, 1), (1, 2), (2, 2)))
     a = tuple(round(rng.uniform(0.3, 2.5), 3) for _ in range(p))
     b = tuple(round(rng.uniform(0.6, 3.0), 3) for _ in range(q))
@@ -294,6 +278,16 @@ def laplace_random_draw(rng) -> dict:
     return {"a": a, "b": b, "alpha": alpha, "s": s, "x": x}
 
 
+def j1_integral(n: int, s, x, tol) -> complex:
+    """int_0^inf e^(-st) t^(-3/2) gamma(n+1, xt) dt; the tail carries e^(-st)
+    once the incomplete gamma saturates."""
+
+    def f(t: float) -> complex:
+        return cmath.exp(-s * t) * t ** (-1.5) * lower_incomplete_gamma(n + 1, x * t)
+
+    return _quadrature("J1_gamma_int", f, -0.5, min(s.real, (s + x).real), tol)
+
+
 def j1_closed_form(n: int, s, x) -> complex:
     """-2 sqrt(pi) n! [sqrt(s) - sqrt(s+x) sum_{k<=n} (-1/2)_k/k! (x/(x+s))^k]."""
     s, x = complex(s), complex(x)
@@ -302,28 +296,13 @@ def j1_closed_form(n: int, s, x) -> complex:
     return -2.0 * _SQRT_PI * math.factorial(n) * (cmath.sqrt(s) - cmath.sqrt(s + x) * acc)
 
 
-def check_integral_j1(n: int, s, x, tol, max_evals=DEFAULT_BUDGET) -> CheckRecord:
-    """Quadrature of int_0^inf e^(-st) t^(-3/2) gamma(n+1, xt) dt against
-    its closed form.  Needs n >= 0, Re(s+x) > 0 and Re s > 0 (the tail
-    carries e^(-st) once the incomplete gamma saturates)."""
-    if n < 0:
-        raise DomainError("check_integral_j1 needs n >= 0")
-    s, x = complex(s), complex(x)
-    if (s + x).real <= 0 or s.real <= 0:
-        raise DomainError("check_integral_j1 needs Re(s+x) > 0 and Re s > 0")
+def j2_integral(n: int, p, x, tol) -> complex:
+    """int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt; p = 0 is the algebraic-tail branch."""
 
     def f(t: float) -> complex:
-        return cmath.exp(-s * t) * t ** (-1.5) * lower_incomplete_gamma(n + 1, x * t)
+        return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
 
-    spec = IntegralSpec(
-        "J1_gamma_int",
-        {"n": n, "s": s, "x": x},
-        singular_exponent=-0.5,
-        decay_rate=min(s.real, (s + x).real),
-        integrand=f,
-    )
-    lhs = integrate_semi_infinite(spec, tol / 10.0, max_evals).value
-    return _make_record("J1", {"n": n, "s": s, "x": x, "tol": tol}, lhs, j1_closed_form(n, s, x), tol)
+    return _quadrature("J2_gamma_int", f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
 
 
 def j2_closed_form(n: int, p, x) -> complex:
@@ -343,36 +322,23 @@ def j2_closed_form(n: int, p, x) -> complex:
     )
 
 
-def check_integral_j2(n: int, p, x, tol, max_evals=DEFAULT_BUDGET) -> CheckRecord:
-    """Quadrature check of the second integral identity (n >= 1).
+def j3_integral(p, x, tol) -> complex:
+    """int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt for real x > 0.
 
-    p = 0 is the algebraic-tail branch (needs Re x > 0); otherwise
-    Re p > 0 and Re(p+x) > 0 are required for convergence.
-    """
-    if n < 1:
-        raise DomainError("check_integral_j2 needs n >= 1")
-    p, x = complex(p), complex(x)
-    if p == 0:
-        if x.real <= 0:
-            raise DomainError("p = 0 branch needs Re x > 0")
-        decay = 0.0
-    else:
-        if p.real <= 0 or (p + x).real <= 0:
-            raise DomainError("check_integral_j2 needs Re p > 0 and Re(p+x) > 0")
-        decay = min(p.real, (p + x).real)
+    Raises :class:`DomainError` when the cylinder function would leave its
+    series range before the first truncation point."""
+    decay = (2.0 * p - x).real / 2.0
+    if x.real * max(50.0 / decay, 40.0) > 500.0:
+        raise DomainError("decay too slow for the cylinder-function range")
 
     def f(t: float) -> complex:
-        return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
+        return (
+            cmath.exp(-p * t)
+            * t ** (-5.0 / 6.0)
+            * parabolic_cylinder_d(1.0 / 3.0, -math.sqrt(2.0 * x.real * t))
+        )
 
-    spec = IntegralSpec(
-        "J2_gamma_int",
-        {"n": n, "p": p, "x": x},
-        singular_exponent=-0.5,
-        decay_rate=decay,
-        integrand=f,
-    )
-    lhs = integrate_semi_infinite(spec, tol / 10.0, max_evals).value
-    return _make_record("J2", {"n": n, "p": p, "x": x, "tol": tol}, lhs, j2_closed_form(n, p, x), tol)
+    return _quadrature("J3_cylinder_int", f, -5.0 / 6.0, decay, tol)
 
 
 def j3_closed_form(p, x) -> complex:
@@ -386,34 +352,3 @@ def j3_closed_form(p, x) -> complex:
         / (2.0 * p + x) ** (1.0 / 6.0)
         * (cmath.cos(cmath.acos(w) / 3.0) - cmath.sin(cmath.asin(w) / 3.0))
     )
-
-
-def check_integral_j3(p, x, tol, max_evals=DEFAULT_BUDGET) -> CheckRecord:
-    """Quadrature of int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt
-    against its closed form.  Needs real x > 0 (the supported range of
-    the cylinder-function evaluation) and Re(2p - x) > 0."""
-    p, x = complex(p), complex(x)
-    if x.imag != 0.0 or x.real <= 0.0:
-        raise DomainError("check_integral_j3 needs real x > 0")
-    if (2.0 * p - x).real <= 0:
-        raise DomainError("check_integral_j3 needs Re(2p - x) > 0")
-    decay = (2.0 * p - x).real / 2.0
-    if x.real * max(50.0 / decay, 40.0) > 500.0:
-        raise DomainError("decay too slow for the cylinder-function range")
-
-    def f(t: float) -> complex:
-        return (
-            cmath.exp(-p * t)
-            * t ** (-5.0 / 6.0)
-            * parabolic_cylinder_d(1.0 / 3.0, -math.sqrt(2.0 * x.real * t))
-        )
-
-    spec = IntegralSpec(
-        "J3_cylinder_int",
-        {"p": p, "x": x},
-        singular_exponent=-5.0 / 6.0,
-        decay_rate=decay,
-        integrand=f,
-    )
-    lhs = integrate_semi_infinite(spec, tol / 10.0, max_evals).value
-    return _make_record("J3", {"p": p, "x": x, "tol": tol}, lhs, j3_closed_form(p, x), tol)

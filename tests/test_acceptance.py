@@ -10,18 +10,16 @@ from random import Random
 from trihyp.cli import SweepConfig, report_to_json, run_sweep
 from trihyp.identities import (
     check_grid,
+    check_integral_j1,
+    check_integral_j2,
+    check_integral_j3,
     default_grid,
     eval_identity,
     faa_di_bruno_derivative,
     i15_rhs,
-)
-from trihyp.quad import (
-    check_integral_j1,
-    check_integral_j2,
-    check_integral_j3,
     laplace_hyp_check,
-    laplace_random_draw,
 )
+from trihyp.quad import laplace_random_draw
 from trihyp.roots import (
     TrinomialInstance,
     g_function,

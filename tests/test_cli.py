@@ -4,12 +4,14 @@ import pytest
 
 from trihyp.cli import (
     SweepConfig,
+    default_tolerance,
     format_value,
     main,
     parse_complex,
     report_to_csv,
     report_to_json,
     run_sweep,
+    sweep_points,
 )
 
 
@@ -139,6 +141,47 @@ class TestCheckCommand:
         a, b = json.loads(report_to_json(r1)), json.loads(report_to_json(r2))
         a["wall_time_ms"] = b["wall_time_ms"] = 0
         assert a == b
+
+
+class TestCheckGrids:
+    def test_default_tolerances_and_grid_sizes(self):
+        identity_ids = [f"I{k:02d}" for k in range(1, 19)] + ["K01", "K02"]
+        want = {cid: (1e-8, 200) for cid in identity_ids}
+        want.update({cid: (1e-6, 200) for cid in ("I14", "I15", "I16", "I17")})
+        want.update(J0=(1e-7, 10), J1=(1e-6, 9), J2=(1e-6, 6), J3=(1e-5, 4))
+        cfg = SweepConfig()
+        got = {cid: (default_tolerance(cid), len(sweep_points(cid, cfg)))
+               for cid in cfg.resolved_ids()}
+        assert got == want
+
+    def test_list_form_integer_grid(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", "--grid", "n:0,1", "--out", str(out)]) == 0
+        ns = [r["params"]["n"] for r in json.loads(out.read_text())["records"]]
+        assert sorted(ns) == [0, 1] and all(type(n) is int for n in ns)
+
+    @pytest.mark.parametrize("value", ["0.5", "1+2i"])
+    def test_non_integer_grid_value(self, value, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", "--grid", f"n:{value}", "--out", str(out)]) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check_id", ["I01", "J0"])
+    def test_unknown_grid_parameter(self, check_id, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", check_id, "--grid", "n:1:2:2", "--out", str(out)]) == 3
+        assert "unexpected parameters ['n']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluator_range_is_skipped(self, tmp_path):
+        # inside the J1 hypotheses, but the quadrature window reaches |x t| = 1000,
+        # beyond the range of the incomplete gamma series
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", "--grid", "n:0", "--grid", "s:2.1",
+                     "--grid", "x:-2", "--out", str(out)]) == 0
+        [rec] = json.loads(out.read_text())["records"]
+        assert rec["verdict"] == "skipped_domain"
+        assert rec["params"]["tol"] == 1e-6
 
 
 class TestReportSerialization:

@@ -31,11 +31,11 @@ def rel(a, b):
 class TestCatalog:
     def test_size_and_ids(self):
         entries = list_identities()
-        assert len(entries) == 20
+        assert len(entries) == 24
         ids = [d.id for d in entries]
         assert ids == sorted(ids)
-        assert len(set(ids)) == 20
-        for want in [f"I{k:02d}" for k in range(1, 19)] + ["K01", "K02"]:
+        assert len(set(ids)) == 24
+        for want in [f"I{k:02d}" for k in range(1, 19)] + ["J0", "J1", "J2", "J3", "K01", "K02"]:
             assert want in ids
 
     def test_anchors_nonempty(self):

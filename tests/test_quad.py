@@ -4,14 +4,16 @@ from random import Random
 import pytest
 
 from trihyp.errors import BudgetError, DomainError
-from trihyp.quad import (
-    IntegralSpec,
+from trihyp.identities import (
     check_integral_j1,
     check_integral_j2,
     check_integral_j3,
+    laplace_hyp_check,
+)
+from trihyp.quad import (
+    IntegralSpec,
     integrate_semi_infinite,
     j3_closed_form,
-    laplace_hyp_check,
     laplace_random_draw,
 )
 from trihyp.specfun import gamma
