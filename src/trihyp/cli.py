@@ -51,13 +51,22 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' / bare real / 'bi' (whitespace-free)."""
+    """Parse 'a+bi' / 'a-bi' / bare real / 'bi' (whitespace-free); a
+    non-finite value (nan, inf) is a ValueError."""
     tok = text.strip()
     if not tok:
         raise ValueError("empty number")
     if not tok.endswith("i"):
-        return complex(float(tok), 0.0)
-    body = tok[:-1]
+        value = complex(float(tok), 0.0)
+    else:
+        value = _parse_imaginary(tok[:-1])
+    if not cmath.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _parse_imaginary(body: str) -> complex:
+    """'a+b' / 'a-b' / 'b' of a number written with a trailing 'i'."""
     # split into real part and signed imaginary coefficient
     for k in range(len(body) - 1, 0, -1):
         if body[k] in "+-" and body[k - 1] not in "eE":
@@ -137,9 +146,10 @@ def _grid_param_values(name: str, spec) -> list:
             return [float(lo)]
         step = (float(hi) - float(lo)) / (count - 1)
         return [float(lo) + k * step for k in range(count)]
-    values = []
-    for v in spec:
-        values.append(parse_complex(v) if isinstance(v, str) else v)
+    try:
+        values = [parse_complex(v) if isinstance(v, str) else v for v in spec]
+    except ValueError as exc:
+        raise DomainError(f"grid for {name}: {exc}") from None
     if not values:
         raise DomainError(f"grid for {name}: empty value list")
     return values
@@ -466,6 +476,10 @@ _CUSTOM_ENV = {
 }
 
 
+# the catalog parameters `integrate` takes as --name flags
+_INTEGRATE_FLAGS = ("n", "s", "p", "x")
+
+
 def _cmd_integrate(args) -> int:
     tol = args.tol
     try:
@@ -489,9 +503,17 @@ def _cmd_integrate(args) -> int:
         if args.integrand not in integrals:
             print(f"error: unknown integrand {args.integrand!r}", file=sys.stderr)
             return EXIT_USAGE
-        params = {key: parse_complex(getattr(args, key)) for key in ("n", "s", "x", "p")
+        desc = integrals[args.integrand]
+        unflagged = [spec.name for spec in desc.params if spec.name not in _INTEGRATE_FLAGS]
+        if unflagged:
+            print(f"error: integrate has no flag for the {desc.id} parameters "
+                  f"{', '.join(unflagged)}; run `trihyp check --ids {desc.id}` "
+                  f"(default grid) or add `--config FILE` for chosen points",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        params = {key: parse_complex(getattr(args, key)) for key in _INTEGRATE_FLAGS
                   if getattr(args, key) is not None}
-        for spec in integrals[args.integrand].params:
+        for spec in desc.params:
             if spec.name not in params:
                 print(f"error: missing parameter --{spec.name}", file=sys.stderr)
                 return EXIT_USAGE
@@ -554,10 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="semi-infinite quadrature")
     p_int.add_argument("integrand", help="an integral id of the catalog, or custom")
     p_int.add_argument("expr", nargs="?", help="expression in t for custom")
-    p_int.add_argument("--n", help="integer parameter")
-    p_int.add_argument("--s", help="complex parameter")
-    p_int.add_argument("--p", help="complex parameter")
-    p_int.add_argument("--x", help="complex parameter")
+    for key in _INTEGRATE_FLAGS:
+        p_int.add_argument(f"--{key}", help="integer parameter" if key == "n" else "complex parameter")
     p_int.add_argument("--tol", type=float, default=1e-6)
     p_int.add_argument("--sigma", type=float, default=0.0,
                        help="endpoint singularity exponent for custom")

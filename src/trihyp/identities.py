@@ -89,7 +89,7 @@ class IdentityDescriptor:
     rhs: Callable[..., complex]
     anchor: str
     in_domain: Callable[..., bool] = field(repr=False, default=lambda **kw: True)
-    sample: Callable[[Random], dict] = field(repr=False, default=lambda rng: {})
+    sample: Callable[[Random], dict] | None = field(repr=False, default=None)  # None: fixed points only
     special_points: tuple = ()
     notes: str = ""
     tolerance: float = 1e-8  # default tolerance of a sweep
@@ -1015,12 +1015,15 @@ def check_grid(identity_id: str, grid: Sequence, tol: float) -> list:
 def default_grid(identity_id: str, count: int | None = None, seed: int = DEFAULT_SEED) -> list:
     """Deterministic pseudo-random sample of the entry's declared domain,
     with the piecewise special points prepended; ``count`` defaults to
-    the entry's grid size."""
+    the entry's grid size.  An entry without a sampler has its special
+    points only: asking it for more raises :class:`DomainError`."""
     desc = get_identity(identity_id)
     if count is None:
         count = desc.grid_size
     rng = Random(f"{seed}:{identity_id}")
     points = [dict(p) for p in desc.special_points[:count]]
+    if len(points) < count and desc.sample is None:
+        raise DomainError(f"{identity_id} has {len(points)} fixed points")
     while len(points) < count:
         points.append(desc.sample(rng))
     return points

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .errors import BudgetError, DomainError
@@ -95,10 +96,12 @@ class _BudgetHit(Exception):
     pass
 
 
-def _tanh_sinh_level(f, half: float, h: float, budget: _Budget) -> complex:
-    """One trapezoid pass of the tanh-sinh rule over (0, 2*half)."""
+def _tanh_sinh_sum(f, half: float, h: float, start: int, step: int, budget: _Budget) -> complex:
+    """Sum of w_k f(x_k) over k = start, start+step, ... (both signs of k)
+    of the tanh-sinh rule over (0, 2*half) at step h, without the factor h."""
     total = 0.0 + 0.0j
-    k = 0
+    k = start
+    i = 0  # nodes of this pass so far
     dead = 0
     while k * h <= _TAU_MAX:
         tau = k * h
@@ -118,21 +121,24 @@ def _tanh_sinh_level(f, half: float, h: float, budget: _Budget) -> complex:
             contributions.append(w * f(x))
         c = sum(contributions)
         total += c
-        if k > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
+        if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
             dead += 1
             if dead >= 2:
                 break
         else:
             dead = 0
-        k += 1
-    return total * h
+        k += step
+        i += 1
+    return total
 
 
-def _exp_sinh_level(f, h: float, budget: _Budget) -> complex:
-    """One trapezoid pass of the exp-sinh rule over (0, infinity)."""
+def _exp_sinh_sum(f, h: float, start: int, step: int, budget: _Budget) -> complex:
+    """Sum of w_k f(t_k) over k = start, start+step, ... (both signs of k)
+    of the exp-sinh rule over (0, infinity) at step h, without the factor h."""
     total = 0.0 + 0.0j
     for direction in (1.0, -1.0):
-        k = 0 if direction > 0 else 1
+        k = start if direction > 0 else max(start, 1)  # the node k = 0 is taken once
+        i = 0
         dead = 0
         while k * h <= _TAU_MAX:
             tau = direction * k * h
@@ -144,14 +150,15 @@ def _exp_sinh_level(f, h: float, budget: _Budget) -> complex:
             budget.spend()
             c = w * f(t)
             total += c
-            if k > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
+            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
                 dead += 1
                 if dead >= 2:
                     break
             else:
                 dead = 0
-            k += 1
-    return total * h
+            k += step
+            i += 1
+    return total
 
 
 def integrate_semi_infinite(
@@ -167,8 +174,11 @@ def integrate_semi_infinite(
     checked against tol/10, and integrated with tanh-sinh after the
     optional substitution t = u^m that flattens the origin singularity.
     A zero decay rate selects the exp-sinh transform of the full half
-    line.  Exhausting ``max_evals`` raises :class:`BudgetError` with the
-    best estimate attached.
+    line.  The levels halve h from 0.5 and are nested: each finer level
+    evaluates only its new odd-index nodes, so no node is evaluated
+    twice, and ``evaluations`` counts each integrand call once (the
+    truncation-point search included).  Exhausting ``max_evals`` raises
+    :class:`BudgetError` with the best estimate attached.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -177,48 +187,41 @@ def integrate_semi_infinite(
     best: tuple[complex, float] | None = None
     try:
         if spec.decay_rate == 0.0:
-            prev = None
-            h = 0.5
-            for _ in range(7):
-                val = _exp_sinh_level(f, h, budget)
-                if prev is not None:
-                    err = abs(val - prev)
-                    best = (val, err)
-                    if err <= tol * max(1.0, abs(val)) / 3.0:
-                        return QuadResult(val, err, budget.used)
-                prev = val
-                h /= 2.0
-            raise _BudgetHit()
-
-        d = spec.decay_rate
-        T = max(50.0 / d, 40.0)
-        tail = abs(f(T)) / d
-        budget.spend()
-        while tail > tol / 10.0 and T < 1e6:
-            T *= 1.5
-            budget.spend()
-            tail = abs(f(T)) / d
-        m = 1
-        if use_substitution and spec.singular_exponent < 0.0:
-            m = max(1, math.ceil((1.0 - 1e-12) / (1.0 + spec.singular_exponent)))
-        if m == 1:
-            g = f
+            tail = 0.0
+            level = partial(_exp_sinh_sum, f)
         else:
-            def g(u, _m=m):
-                t = u**_m
-                if t == 0.0:  # node so deep that u^m underflows; weight is ~0 there
-                    return 0.0
-                return f(t) * _m * u ** (_m - 1)
-        upper = T ** (1.0 / m)
-        prev = None
-        h = 0.5
-        for _ in range(7):
-            val = _tanh_sinh_level(g, upper / 2.0, h, budget)
-            if prev is not None:
-                err = abs(val - prev) + tail
-                best = (val, err)
-                if err <= tol * max(1.0, abs(val)) / 3.0:
-                    return QuadResult(val, err, budget.used)
+            d = spec.decay_rate
+            T = max(50.0 / d, 40.0)
+            tail = abs(f(T)) / d
+            budget.spend()
+            while tail > tol / 10.0 and T < 1e6:
+                T *= 1.5
+                budget.spend()
+                tail = abs(f(T)) / d
+            m = 1
+            if use_substitution and spec.singular_exponent < 0.0:
+                m = max(1, math.ceil((1.0 - 1e-12) / (1.0 + spec.singular_exponent)))
+            if m == 1:
+                g = f
+            else:
+                def g(u, _m=m):
+                    t = u**_m
+                    if t == 0.0:  # node so deep that u^m underflows; weight is ~0 there
+                        return 0.0
+                    return f(t) * _m * u ** (_m - 1)
+            level = partial(_tanh_sinh_sum, g, T ** (1.0 / m) / 2.0)
+
+        # nested levels: halving h keeps every node and adds the odd-index ones
+        raw = level(0.5, 0, 1, budget)
+        prev = raw * 0.5
+        h = 0.25
+        for _ in range(6):
+            raw += level(h, 1, 2, budget)
+            val = raw * h
+            err = abs(val - prev) + tail
+            best = (val, err)
+            if err <= tol * max(1.0, abs(val)) / 3.0:
+                return QuadResult(val, err, budget.used)
             prev = val
             h /= 2.0
         raise _BudgetHit()

@@ -85,20 +85,27 @@ def gamma(z) -> complex:
 
     Lanczos approximation on Re z >= 1/2, reflection formula elsewhere.
     Relative error is below 1e-12 for |z| <= 50 away from the poles at
-    the nonpositive integers, where :class:`DomainError` is raised.
+    the nonpositive integers.  :class:`DomainError` is raised at a pole,
+    for a non-finite ``z`` and where an intermediate overflows (real z
+    above about 142.7, below about -141.7 through the reflection).
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got {z}")
     if is_nonpositive_integer(z):
         raise DomainError(f"gamma pole at z = {z}")
-    if z.real < 0.5:
-        # gamma(z) * gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    x = z - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (x + k)
-    t = x + _LANCZOS_G + 0.5
-    return SQRT_TWO_PI * t ** (x + 0.5) * cmath.exp(-t) * acc
+    try:
+        if z.real < 0.5:
+            # gamma(z) * gamma(1-z) = pi / sin(pi z)
+            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+        x = z - 1.0
+        acc = _LANCZOS_C[0]
+        for k in range(1, len(_LANCZOS_C)):
+            acc += _LANCZOS_C[k] / (x + k)
+        t = x + _LANCZOS_G + 0.5
+        return SQRT_TWO_PI * t ** (x + 0.5) * cmath.exp(-t) * acc
+    except OverflowError:
+        raise DomainError(f"gamma overflows at z = {z}") from None
 
 
 def rgamma(z) -> complex:

@@ -37,6 +37,11 @@ class TestComplexParsing:
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400", "2+nani", "1-infi"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            parse_complex(bad)
+
     def test_format_roundtrip(self):
         assert format_value(2.0) == "2"
         assert format_value(1 + 2j) == "1+2i"
@@ -60,6 +65,15 @@ class TestEvalCommand:
 
     def test_wrong_arity(self, capsys):
         assert main(["eval", "gamma", "1", "2"]) == 2
+
+    def test_gamma_overflow(self, capsys):
+        assert main(["eval", "gamma", "200"]) == 3
+        assert "overflows" in capsys.readouterr().err
+
+    def test_non_finite_argument(self, capsys):
+        assert main(["eval", "gamma", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad numeric argument" in captured.err
 
 
 class TestRootsCommand:
@@ -173,6 +187,12 @@ class TestCheckGrids:
         assert "unexpected parameters ['n']" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_grid_value(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", "--grid", "s:nan", "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluator_range_is_skipped(self, tmp_path):
         # inside the J1 hypotheses, but the quadrature window reaches |x t| = 1000,
         # beyond the range of the incomplete gamma series
@@ -215,6 +235,13 @@ class TestIntegrateCommand:
 
     def test_missing_parameter(self, capsys):
         assert main(["integrate", "J1", "--n", "0", "--s", "2"]) == 2
+
+    def test_parameters_without_flags(self, capsys):
+        # a, b and alpha of the Laplace lemma have no integrate flag
+        assert main(["integrate", "J0", "--s", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "a, b, alpha" in err and "trihyp check --ids J0" in err and "--config" in err
+        assert "missing parameter" not in err
 
 
 class TestFullRegistry:

@@ -96,6 +96,12 @@ class TestCheckGrid:
         recs = check_grid("I12", [(n, t) for n in range(1, 5) for t in (-0.7, 0.3, 0.8)], 1e-10)
         assert all(r.verdict == "pass" for r in recs)
 
+    @pytest.mark.parametrize("cid,fixed", [("J1", 9), ("J2", 6), ("J3", 4)])
+    def test_fixed_point_grid_does_not_pad(self, cid, fixed):
+        assert len(default_grid(cid)) == len(default_grid(cid, fixed)) == fixed
+        with pytest.raises(DomainError, match=f"{cid} has {fixed} fixed points"):
+            default_grid(cid, fixed + 2)
+
     def test_default_grid_deterministic(self):
         a = default_grid("I05", 50, seed=123)
         b = default_grid("I05", 50, seed=123)

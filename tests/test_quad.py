@@ -62,6 +62,25 @@ class TestIntegrator:
         without = integrate_semi_infinite(spec, 1e-10, use_substitution=False)
         assert abs(with_sub.value - without.value) < 1e-10
 
+    @pytest.mark.parametrize(
+        "f,sigma,decay,exact",
+        [
+            (lambda t: math.exp(-t) * t**-0.5, -0.5, 1.0, SQRT_PI),  # tanh-sinh, t = u^2
+            (lambda t: 1.0 / (1.0 + t) ** 2, 0.0, 0.0, 1.0),  # exp-sinh
+        ],
+        ids=["tanh-sinh", "exp-sinh"],
+    )
+    def test_nested_levels_evaluate_each_node_once(self, f, sigma, decay, exact):
+        seen = []
+
+        def recorded(t):
+            seen.append(t)
+            return f(t)
+
+        res = integrate_semi_infinite(_spec(recorded, sigma=sigma, decay=decay), 1e-10)
+        assert abs(res.value - exact) < 1e-10
+        assert len(seen) == len(set(seen)) == res.evaluations
+
     def test_budget_error_carries_best(self):
         with pytest.raises(BudgetError) as err:
             integrate_semi_infinite(_spec(lambda t: math.exp(-t)), 1e-12, max_evals=40)

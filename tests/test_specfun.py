@@ -83,6 +83,16 @@ class TestGamma:
                 gamma(z)
             assert rgamma(z) == 0
 
+    @pytest.mark.parametrize("z", [200, 150 + 1j, -200.5, -0.5 + 300j])
+    def test_overflow_is_domain_error(self, z):
+        with pytest.raises(DomainError, match="overflows"):
+            gamma(z)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_argument(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            gamma(z)
+
 
 class TestHypPfq:
     def test_unity_at_zero(self):
