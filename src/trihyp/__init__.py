@@ -28,11 +28,8 @@ from .specfun import (
     whipple_sum_3f2,
 )
 from .roots import (
-    CubicSpec,
-    QuarticSpec,
     RootSet,
     TrinomialInstance,
-    cubic_roots,
     g_function,
     lagrange_coefficient,
     quadratic_roots,
@@ -45,14 +42,10 @@ from .roots import (
 from .identities import (
     CheckRecord,
     IdentityDescriptor,
-    check_grid,
-    check_integral_j1,
-    check_integral_j2,
-    check_integral_j3,
+    check_point,
     default_grid,
     eval_identity,
     faa_di_bruno_derivative,
-    laplace_hyp_check,
     list_identities,
 )
-from .quad import IntegralSpec, QuadResult, integrate_semi_infinite
+from .quad import QuadResult, integrate_semi_infinite

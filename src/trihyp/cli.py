@@ -2,9 +2,9 @@
 
 Subcommands: ``eval`` (call a special-function evaluator), ``roots``
 (solve x^n - x + t = 0 by series and/or closed form), ``check`` (sweep
-the identity and integral catalogs with a differential checker),
-``sweep`` (check driven by a JSON config file) and ``integrate``
-(one-off semi-infinite quadratures).
+the identity and integral catalogs with a differential checker, from
+flags or a JSON config file) and ``integrate`` (one-off semi-infinite
+quadratures).
 
 Exit codes: 0 all pass, 1 check failures, 2 usage error, 3 domain
 error, 4 I/O error.
@@ -35,7 +35,7 @@ from .identities import (
     get_identity,
     list_identities,
 )
-from .quad import IntegralSpec, integrate_semi_infinite
+from .quad import integrate_semi_infinite
 from .roots import (
     TrinomialInstance,
     residual,
@@ -302,8 +302,8 @@ _CLI_CONTROL = sf.SeriesControl(rel_tol=5e-16, max_terms=100_000, consecutive_sm
 
 _EVAL_REGISTRY = {
     # name: (callable, number of arguments; -1 = variadic)
-    "gamma": (lambda a: sf.gamma(a), 1),
-    "rgamma": (lambda a: sf.rgamma(a), 1),
+    "gamma": (sf.gamma, 1),
+    "rgamma": (sf.rgamma, 1),
     "pochhammer": (lambda a, k: sf.pochhammer(a, int(k.real)), 2),
     "0f1": (lambda b, z: sf.hyp0f1(b, z, _CLI_CONTROL), 2),
     "1f1": (lambda a, b, z: sf.hyp1f1(a, b, z, _CLI_CONTROL), 3),
@@ -318,11 +318,11 @@ _EVAL_REGISTRY = {
         lambda a1, a2, a3, b1, b2, z: sf.hyp3f2(a1, a2, a3, b1, b2, z, _CLI_CONTROL),
         6,
     ),
-    "gamma_lower": (lambda nu, z: sf.lower_incomplete_gamma(nu, z), 2),
-    "beta_inc": (lambda nu, mu, t: sf.incomplete_beta(nu, mu, t), 3),
-    "legendre_p": (lambda nu, mu, x: sf.legendre_p(nu, mu, x), 3),
+    "gamma_lower": (sf.lower_incomplete_gamma, 2),
+    "beta_inc": (sf.incomplete_beta, 3),
+    "legendre_p": (sf.legendre_p, 3),
     "legendre_poly": (lambda n, x: sf.legendre_polynomial(int(n.real), x), 2),
-    "pcd": (lambda nu, z: sf.parabolic_cylinder_d(nu, z), 2),
+    "pcd": (sf.parabolic_cylinder_d, 2),
     "bell": (
         lambda n, k, *xs: sf.bell_polynomial(int(n.real), int(k.real), xs),
         -1,
@@ -414,7 +414,7 @@ def _load_config_file(path: str) -> dict:
 
 def _build_config(args) -> SweepConfig:
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         base = _load_config_file(args.config)
     if args.ids is not None:
         base["identity_ids"] = [s for chunk in args.ids for s in chunk.split(",") if s]
@@ -492,10 +492,7 @@ def _cmd_integrate(args) -> int:
             def f(t):
                 return complex(eval(code, {"__builtins__": {}}, dict(_CUSTOM_ENV, t=t)))
 
-            spec = IntegralSpec("custom", {"expr": args.expr},
-                                singular_exponent=args.sigma, decay_rate=args.decay,
-                                integrand=f)
-            res = integrate_semi_infinite(spec, tol)
+            res = integrate_semi_infinite(f, tol, args.sigma, args.decay)
             print(f"value = {format_value(res.value)}")
             print(f"est_error = {res.est_error:.3e}  evaluations = {res.evaluations}")
             return EXIT_OK
@@ -551,27 +548,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("method", choices=["series", "closed", "both"])
     p_roots.set_defaults(fn=_cmd_roots)
 
-    for name, needs_config in (("check", False), ("sweep", True)):
-        p = sub.add_parser(
-            name,
-            help="run differential checks"
-            + (" from a JSON config file" if needs_config else ""),
-        )
-        if needs_config:
-            p.add_argument("config", help="JSON config file (SweepConfig shape)")
-        else:
-            p.add_argument("--config", help="JSON config file (SweepConfig shape)")
-        p.add_argument("--ids", action="append",
-                       help="comma-separated check ids (default: all)")
-        p.add_argument("--grid", action="append",
-                       help="parameter grid name:min:max:count or name:v1,v2,...")
-        p.add_argument("--tol", type=float, help="tolerance for every check")
-        p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: machine parallelism)")
-        p.add_argument("--format", choices=["json", "csv"], help="report format")
-        p.add_argument("--out", help="report path")
-        p.set_defaults(fn=_cmd_check)
+    p_check = sub.add_parser("check", help="run differential checks")
+    p_check.add_argument("--config", help="JSON config file (SweepConfig shape)")
+    p_check.add_argument("--ids", action="append",
+                         help="comma-separated check ids (default: all)")
+    p_check.add_argument("--grid", action="append",
+                         help="parameter grid name:min:max:count or name:v1,v2,...")
+    p_check.add_argument("--tol", type=float, help="tolerance for every check")
+    p_check.add_argument("--seed", type=int, help="sampling seed")
+    p_check.add_argument("--jobs", type=int, default=None,
+                         help="worker processes (default: machine parallelism)")
+    p_check.add_argument("--format", choices=["json", "csv"], help="report format")
+    p_check.add_argument("--out", help="report path")
+    p_check.set_defaults(fn=_cmd_check)
 
     p_int = sub.add_parser("integrate", help="semi-infinite quadrature")
     p_int.add_argument("integrand", help="an integral id of the catalog, or custom")

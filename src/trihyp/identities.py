@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .errors import DivergenceError, DomainError
 from .specfun import (
@@ -51,11 +51,6 @@ __all__ = [
     "get_identity",
     "eval_identity",
     "check_point",
-    "check_integral_j1",
-    "check_integral_j2",
-    "check_integral_j3",
-    "laplace_hyp_check",
-    "check_grid",
     "default_grid",
     "faa_di_bruno_derivative",
     "i13_rhs",
@@ -974,42 +969,6 @@ def check_point(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
         domain = get_identity(identity_id).domain
         raise DomainError(f"{identity_id}: point outside the supported domain ({domain})")
     return rec
-
-
-def laplace_hyp_check(a_list, b_list, alpha, s, x, tol) -> CheckRecord:
-    """:func:`check_point` of the Laplace lemma J0."""
-    return check_point("J0", {"a": a_list, "b": b_list, "alpha": alpha, "s": s, "x": x}, tol)
-
-
-def check_integral_j1(n: int, s, x, tol) -> CheckRecord:
-    """:func:`check_point` of the integral J1."""
-    return check_point("J1", {"n": n, "s": s, "x": x}, tol)
-
-
-def check_integral_j2(n: int, p, x, tol) -> CheckRecord:
-    """:func:`check_point` of the integral J2."""
-    return check_point("J2", {"n": n, "p": p, "x": x}, tol)
-
-
-def check_integral_j3(p, x, tol) -> CheckRecord:
-    """:func:`check_point` of the integral J3."""
-    return check_point("J3", {"p": p, "x": x}, tol)
-
-
-def check_grid(identity_id: str, grid: Sequence, tol: float) -> list:
-    """One :class:`CheckRecord` per grid point.
-
-    Grid points may be mappings or positional tuples in catalog
-    parameter order.  Points outside the entry's domain predicate are
-    reported as ``skipped_domain``, never as failures.
-    """
-    desc = get_identity(identity_id)
-    records = []
-    for point in grid:
-        if not isinstance(point, Mapping):
-            point = {spec.name: v for spec, v in zip(desc.params, point)}
-        records.append(eval_identity(identity_id, point, tol))
-    return records
 
 
 def default_grid(identity_id: str, count: int | None = None, seed: int = DEFAULT_SEED) -> list:

@@ -4,8 +4,8 @@ and of the Laplace-transform lemma for hypergeometric integrands.
 
 The core rule is double-exponential (tanh-sinh) quadrature on a finite
 window [0, T] chosen from the integrand's exponential decay rate, with
-an optional power substitution t = u^m that removes the algebraic
-endpoint singularity t^sigma at the origin.  Integrands with purely
+a power substitution t = u^m that removes the algebraic endpoint
+singularity t^sigma at the origin.  Integrands with purely
 algebraic tails (the p = 0 branch of the second integral identity) go
 through the exp-sinh transform of the whole half line instead.
 """
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from .errors import BudgetError, DomainError
 from .specfun import (
@@ -29,7 +28,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "IntegralSpec",
     "QuadResult",
     "integrate_semi_infinite",
     "laplace_integral",
@@ -47,31 +45,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _HALF_PI = math.pi / 2.0
 _TAU_MAX = 6.5  # hard cap of the double-exponential variable
 DEFAULT_BUDGET = 200_000
-
-
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Description of one semi-infinite integrand.
-
-    ``singular_exponent`` is the power of t as t -> 0 (must exceed -1);
-    ``decay_rate`` the exponential tail rate (0 selects the
-    algebraic-tail transform).  ``integrand`` is the callable itself;
-    the factory helpers below build specs for the catalog integrals.
-    """
-
-    integrand_id: str  # J0_laplace_hyp | J1_gamma_int | J2_gamma_int | J3_cylinder_int | custom
-    params: dict = field(default_factory=dict)
-    singular_exponent: float = 0.0
-    decay_rate: float = 1.0
-    integrand: Callable[[float], complex] | None = None
-
-    def __post_init__(self):
-        if not self.singular_exponent > -1.0:
-            raise DomainError("singular_exponent must exceed -1 for integrability")
-        if self.decay_rate < 0.0:
-            raise DomainError("decay_rate must be >= 0")
-        if self.integrand is None:
-            raise DomainError("spec carries no integrand callable")
 
 
 @dataclass(frozen=True)
@@ -162,45 +135,52 @@ def _exp_sinh_sum(f, h: float, start: int, step: int, budget: _Budget) -> comple
 
 
 def integrate_semi_infinite(
-    spec: IntegralSpec,
+    f,
     tol: float,
+    singular_exponent: float = 0.0,
+    decay_rate: float = 1.0,
     max_evals: int = DEFAULT_BUDGET,
-    use_substitution: bool = True,
 ) -> QuadResult:
-    """Integrate ``spec`` over (0, infinity) to relative accuracy ``tol``.
+    """Integrate ``f`` over (0, infinity) to relative accuracy ``tol``.
 
-    Exponentially decaying integrands are truncated at
-    T = max(50/decay_rate, 40), where the truncation bound |f(T)|/d is
-    checked against tol/10, and integrated with tanh-sinh after the
-    optional substitution t = u^m that flattens the origin singularity.
-    A zero decay rate selects the exp-sinh transform of the full half
-    line.  The levels halve h from 0.5 and are nested: each finer level
+    ``singular_exponent`` is the power of t as t -> 0 (it must exceed
+    -1) and ``decay_rate`` the exponential tail rate (>= 0); either out
+    of range raises :class:`DomainError`.  Exponentially decaying
+    integrands are truncated at T = max(50/decay_rate, 40), where the
+    truncation bound |f(T)|/decay_rate is checked against tol/10, and
+    integrated with tanh-sinh; a negative exponent first goes through
+    the substitution t = u^m that flattens the origin singularity.  A
+    zero decay rate selects the exp-sinh transform of the full half
+    line.
+    The levels halve h from 0.5 and are nested: each finer level
     evaluates only its new odd-index nodes, so no node is evaluated
     twice, and ``evaluations`` counts each integrand call once (the
     truncation-point search included).  Exhausting ``max_evals`` raises
     :class:`BudgetError` with the best estimate attached.
     """
+    if not singular_exponent > -1.0:
+        raise DomainError("singular_exponent must exceed -1 for integrability")
+    if decay_rate < 0.0:
+        raise DomainError("decay_rate must be >= 0")
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    f = spec.integrand
     budget = _Budget(max_evals)
     best: tuple[complex, float] | None = None
     try:
-        if spec.decay_rate == 0.0:
+        if decay_rate == 0.0:
             tail = 0.0
             level = partial(_exp_sinh_sum, f)
         else:
-            d = spec.decay_rate
-            T = max(50.0 / d, 40.0)
-            tail = abs(f(T)) / d
+            T = max(50.0 / decay_rate, 40.0)
+            tail = abs(f(T)) / decay_rate
             budget.spend()
             while tail > tol / 10.0 and T < 1e6:
                 T *= 1.5
                 budget.spend()
-                tail = abs(f(T)) / d
+                tail = abs(f(T)) / decay_rate
             m = 1
-            if use_substitution and spec.singular_exponent < 0.0:
-                m = max(1, math.ceil((1.0 - 1e-12) / (1.0 + spec.singular_exponent)))
+            if singular_exponent < 0.0:
+                m = max(1, math.ceil((1.0 - 1e-12) / (1.0 + singular_exponent)))
             if m == 1:
                 g = f
             else:
@@ -229,7 +209,7 @@ def integrate_semi_infinite(
         if best is None:
             best = (complex(0.0), math.inf)
         raise BudgetError(
-            f"quadrature budget exhausted for {spec.integrand_id}",
+            "quadrature budget exhausted",
             best=QuadResult(best[0], best[1], budget.used),
         ) from None
 
@@ -242,11 +222,9 @@ def integrate_semi_infinite(
 # --------------------------------------------------------------------------
 
 
-def _quadrature(integrand_id, f, singular_exponent, decay_rate, tol) -> complex:
+def _quadrature(f, singular_exponent, decay_rate, tol) -> complex:
     """The integral of ``f`` to a tenth of the check tolerance ``tol``."""
-    spec = IntegralSpec(integrand_id, singular_exponent=singular_exponent,
-                        decay_rate=decay_rate, integrand=f)
-    return integrate_semi_infinite(spec, tol / 10.0).value
+    return integrate_semi_infinite(f, tol / 10.0, singular_exponent, decay_rate).value
 
 
 def laplace_integral(a, b, alpha, s, x, tol) -> complex:
@@ -258,7 +236,7 @@ def laplace_integral(a, b, alpha, s, x, tol) -> complex:
 
     # for p = q the integrand grows like e^(x t)
     decay = (s - x).real if len(a) == len(b) and x.real > 0 else 0.6 * s.real
-    return _quadrature("J0_laplace_hyp", f, min(max(alpha.real - 1.0, -0.999), 0.0), decay, tol)
+    return _quadrature(f, min(max(alpha.real - 1.0, -0.999), 0.0), decay, tol)
 
 
 def laplace_closed_form(a, b, alpha, s, x) -> complex:
@@ -288,7 +266,7 @@ def j1_integral(n: int, s, x, tol) -> complex:
     def f(t: float) -> complex:
         return cmath.exp(-s * t) * t ** (-1.5) * lower_incomplete_gamma(n + 1, x * t)
 
-    return _quadrature("J1_gamma_int", f, -0.5, min(s.real, (s + x).real), tol)
+    return _quadrature(f, -0.5, min(s.real, (s + x).real), tol)
 
 
 def j1_closed_form(n: int, s, x) -> complex:
@@ -305,7 +283,7 @@ def j2_integral(n: int, p, x, tol) -> complex:
     def f(t: float) -> complex:
         return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
 
-    return _quadrature("J2_gamma_int", f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
+    return _quadrature(f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
 
 
 def j2_closed_form(n: int, p, x) -> complex:
@@ -341,7 +319,7 @@ def j3_integral(p, x, tol) -> complex:
             * parabolic_cylinder_d(1.0 / 3.0, -math.sqrt(2.0 * x.real * t))
         )
 
-    return _quadrature("J3_cylinder_int", f, -5.0 / 6.0, decay, tol)
+    return _quadrature(f, -5.0 / 6.0, decay, tol)
 
 
 def j3_closed_form(p, x) -> complex:

@@ -23,14 +23,11 @@ from .specfun import HypergeometricSpec, SeriesControl, hyp_pfq
 __all__ = [
     "TrinomialInstance",
     "RootSet",
-    "CubicSpec",
-    "QuarticSpec",
     "DescartesFactors",
     "root_hypergeometric",
     "root_lagrange_partial",
     "lagrange_coefficient",
     "quadratic_roots",
-    "cubic_roots",
     "quartic_roots",
     "descartes_factorization",
     "g_function",
@@ -59,30 +56,6 @@ class RootSet:
     roots: tuple
     method: Literal["series", "closed_form"]
     residuals: tuple
-
-
-@dataclass(frozen=True)
-class CubicSpec:
-    """Depressed cubic x^3 +- 3 m x + 2 nn = 0 with m > 0."""
-
-    sign: Literal["plus", "minus"]
-    m: float
-    nn: complex
-
-    def __post_init__(self):
-        if self.sign not in ("plus", "minus"):
-            raise DomainError("sign must be 'plus' or 'minus'")
-        if not (isinstance(self.m, (int, float)) and self.m > 0):
-            raise DomainError("cubic side condition m > 0 violated")
-
-
-@dataclass(frozen=True)
-class QuarticSpec:
-    """Depressed quartic x^4 + p x^2 + q x + r = 0."""
-
-    p: complex
-    q: complex
-    r: complex
 
 
 @dataclass(frozen=True)
@@ -174,45 +147,27 @@ def quadratic_roots(t) -> RootSet:
     return RootSet(roots, "closed_form", tuple(residual(inst, x) for x in roots))
 
 
-def _depressed_cubic_roots(m, nn, sign: str):
-    """All roots of x^3 +- 3 m x + 2 nn = 0 for complex m != 0, nn.
+def _depressed_cubic_roots(m, nn):
+    """All roots of x^3 - 3 m x + 2 nn = 0 for complex m != 0, nn.
 
-    Principal-branch trigonometric forms; exact for arbitrary complex
-    coefficients (the case split of the real classification collapses
-    to one formula in complex arithmetic).
+    Principal-branch trigonometric form; exact for arbitrary complex
+    coefficients: complex acos merges the cosh (nn^2 > m^3) and cos
+    (nn^2 < m^3) cases of the real classification and keeps the roots
+    continuous across the nn^2 = m^3 boundary.
     """
     m = complex(m)
     nn = complex(nn)
     sm = cmath.sqrt(m)
-    w = nn * m ** (-1.5)
-    if sign == "minus":
-        theta = cmath.acos(w) / 3.0
-        c, s = cmath.cos(theta), cmath.sin(theta)
-        return (-2.0 * sm * c, sm * (c + _SQRT3 * s), sm * (c - _SQRT3 * s))
-    u = cmath.asinh(w) / 3.0
-    sh, ch = cmath.sinh(u), cmath.cosh(u)
-    return (-2.0 * sm * sh, sm * (sh + 1j * _SQRT3 * ch), sm * (sh - 1j * _SQRT3 * ch))
+    theta = cmath.acos(nn * m ** (-1.5)) / 3.0
+    c, s = cmath.cos(theta), cmath.sin(theta)
+    return (-2.0 * sm * c, sm * (c + _SQRT3 * s), sm * (c - _SQRT3 * s))
 
 
 def _sorted_roots(roots):
     return tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
 
 
-def cubic_roots(spec: CubicSpec) -> RootSet:
-    """Roots of the depressed cubic x^3 +- 3 m x + 2 nn = 0, m > 0.
-
-    For real nn this is the classical hyperbolic/trigonometric case
-    split (sinh form for '+'; cosh form for '-' with nn^2 > m^3, cos
-    form for nn^2 < m^3); complex acos/asinh merge the cases and keep
-    the roots continuous across the nn^2 = m^3 boundary.
-    """
-    roots = _sorted_roots(_depressed_cubic_roots(spec.m, spec.nn, spec.sign))
-    s = 3.0 * spec.m if spec.sign == "plus" else -3.0 * spec.m
-    res = tuple(abs(x**3 + s * x + 2.0 * spec.nn) for x in roots)
-    return RootSet(roots, "closed_form", res)
-
-
-def descartes_factorization(spec: QuarticSpec) -> DescartesFactors:
+def descartes_factorization(p, q, r) -> DescartesFactors:
     """Solve the resolvent bicubic and build the quadratic-factor
     coefficients alpha, beta, gamma of Descartes's method.
 
@@ -220,7 +175,7 @@ def descartes_factorization(spec: QuarticSpec) -> DescartesFactors:
     xi^3 + 2 p xi^2 + (p^2 - 4 r) xi - q^2 = 0; the root of largest
     modulus is taken so that q/alpha stays well conditioned.
     """
-    p, q, r = complex(spec.p), complex(spec.q), complex(spec.r)
+    p, q, r = complex(p), complex(q), complex(r)
     if q == 0:
         raise DomainError("degenerate quartic: q = 0 (biquadratic) is unsupported")
     b2, b1, b0 = 2.0 * p, p * p - 4.0 * r, -q * q
@@ -233,7 +188,7 @@ def descartes_factorization(spec: QuarticSpec) -> DescartesFactors:
         rot = cmath.exp(2j * math.pi / 3.0)
         ys = (cube, cube * rot, cube * rot.conjugate())
     else:
-        ys = _depressed_cubic_roots(m, nn, "minus")
+        ys = _depressed_cubic_roots(m, nn)
     for xi in sorted((y - shift for y in ys), key=abs, reverse=True):
         if xi == 0:
             continue
@@ -245,10 +200,10 @@ def descartes_factorization(spec: QuarticSpec) -> DescartesFactors:
     raise DomainError("degenerate quartic: gamma = 0 in every factorization")
 
 
-def quartic_roots(spec: QuarticSpec) -> RootSet:
+def quartic_roots(p, q, r) -> RootSet:
     """All four roots of x^4 + p x^2 + q x + r = 0 via Descartes's
     factorization; roots sorted lexicographically by (re, im)."""
-    f = descartes_factorization(spec)
+    f = descartes_factorization(p, q, r)
     s1 = cmath.sqrt(f.alpha * f.alpha - 4.0 * f.beta)
     s2 = cmath.sqrt(f.alpha * f.alpha - 4.0 * f.gamma)
     roots = _sorted_roots(
@@ -259,9 +214,7 @@ def quartic_roots(spec: QuarticSpec) -> RootSet:
             (f.alpha - s2) / 2.0,
         )
     )
-    res = tuple(
-        abs(x**4 + spec.p * x * x + spec.q * x + spec.r) for x in roots
-    )
+    res = tuple(abs(x**4 + p * x * x + q * x + r) for x in roots)
     return RootSet(roots, "closed_form", res)
 
 
@@ -286,9 +239,9 @@ def trinomial_closed_roots(n: int, t) -> RootSet:
     inst = TrinomialInstance(n, t)
     if n == 3:
         # x^3 - 3 (1/3) x + 2 (t/2) = 0
-        roots = _sorted_roots(_depressed_cubic_roots(1.0 / 3.0, t / 2.0, "minus"))
+        roots = _sorted_roots(_depressed_cubic_roots(1.0 / 3.0, t / 2.0))
         return RootSet(roots, "closed_form", tuple(residual(inst, x) for x in roots))
     if n == 4:
-        rs = quartic_roots(QuarticSpec(0.0, -1.0, t))
+        rs = quartic_roots(0.0, -1.0, t)
         return RootSet(rs.roots, "closed_form", tuple(residual(inst, x) for x in rs.roots))
     raise DomainError(f"no closed form implemented for n = {n}")

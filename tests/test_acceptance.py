@@ -9,15 +9,11 @@ from random import Random
 
 from trihyp.cli import SweepConfig, report_to_json, run_sweep
 from trihyp.identities import (
-    check_grid,
-    check_integral_j1,
-    check_integral_j2,
-    check_integral_j3,
+    check_point,
     default_grid,
     eval_identity,
     faa_di_bruno_derivative,
     i15_rhs,
-    laplace_hyp_check,
 )
 from trihyp.quad import laplace_random_draw
 from trihyp.roots import (
@@ -62,7 +58,7 @@ def test_criterion_2_identity_suite():
     fails = 0
     for cid in required + ["I18"]:
         tol = 1e-6 if cid in ("I14", "I15", "I16", "I17") else 1e-8
-        recs = check_grid(cid, default_grid(cid, 200), tol)
+        recs = [eval_identity(cid, p, tol) for p in default_grid(cid, 200)]
         fails += sum(1 for r in recs if r.verdict == "fail")
     _report(2, fails == 0, "identity catalog, 200-point domain samples",
             time.perf_counter() - t0, 30.0)
@@ -104,16 +100,16 @@ def test_criterion_5_integral_identities():
     ok = True
     for n in (0, 1, 2):
         for s, x in ((2.0, 1.0), (1.0, 0.5), (3.0, 2.0)):
-            ok &= check_integral_j1(n, s, x, 1e-5).verdict == "pass"
+            ok &= check_point("J1", {"n": n, "s": s, "x": x}, 1e-5).verdict == "pass"
     for n in (1, 2):
         for p, x in ((1.0, 1.0), (2.0, 0.5), (0.0, 1.0)):
-            ok &= check_integral_j2(n, p, x, 1e-5).verdict == "pass"
+            ok &= check_point("J2", {"n": n, "p": p, "x": x}, 1e-5).verdict == "pass"
     for p, x in ((1.0, 1.0), (2.0, 0.5)):
-        ok &= check_integral_j3(p, x, 1e-5).verdict == "pass"
+        ok &= check_point("J3", {"p": p, "x": x}, 1e-5).verdict == "pass"
     rng = Random(99)
     for _ in range(25):
         d = laplace_random_draw(rng)
-        ok &= laplace_hyp_check(d["a"], d["b"], d["alpha"], d["s"], d["x"], 1e-7).verdict == "pass"
+        ok &= check_point("J0", d, 1e-7).verdict == "pass"
     _report(5, ok, "integral identities J1/J2/J3 and the Laplace lemma",
             time.perf_counter() - t0, 60.0)
 

@@ -75,6 +75,26 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "bad numeric argument" in captured.err
 
+    def test_unconverged_series(self, capsys):
+        assert main(["eval", "2f1", "0.5", "0.5", "1", "0.9999"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "did not converge" in captured.err
+
+    @pytest.mark.parametrize(
+        "args,printed",
+        [
+            (["gamma", "3+2i"], "-0.422637286311201+0.871814255696507i"),
+            (["rgamma", "0.3"], "0.33427275256419"),
+            (["gamma_lower", "0.5", "2+1i"], "1.74256455528458+0.0719492659711545i"),
+            (["beta_inc", "0.5", "0.5", "0.3"], "1.15927948072741"),
+            (["legendre_p", "0.5", "0.3", "0.2"], "0.396741104615353"),
+            (["pcd", "0.3333", "-1.2"], "-0.0522305961339989"),
+        ],
+    )
+    def test_registry_values(self, args, printed, capsys):
+        assert main(["eval", *args]) == 0
+        assert capsys.readouterr().out.strip() == printed
+
 
 class TestRootsCommand:
     def test_closed_quadratic(self, capsys):
@@ -143,7 +163,7 @@ class TestCheckCommand:
             "seed": 5,
             "output_path": str(out),
         }))
-        assert main(["sweep", str(cfg)]) == 0
+        assert main(["check", "--config", str(cfg)]) == 0
         doc = json.loads(out.read_text())
         assert doc["summary"]["fail"] == 0
         assert doc["config"]["seed"] == 5
@@ -229,6 +249,14 @@ class TestIntegrateCommand:
         assert main(["integrate", "custom", "exp(-t)"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "value = 1"
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [(["--sigma", "-1.5"], "singular_exponent"), (["--decay", "-1"], "decay_rate")],
+    )
+    def test_custom_out_of_range(self, flag, message, capsys):
+        assert main(["integrate", "custom", "exp(-t)", *flag]) == 3
+        assert message in capsys.readouterr().err
 
     def test_hypothesis_violation(self, capsys):
         assert main(["integrate", "J3", "--p", "0.4", "--x", "1"]) == 3

@@ -6,7 +6,6 @@ import pytest
 
 from trihyp.errors import DomainError
 from trihyp.identities import (
-    check_grid,
     default_grid,
     eval_identity,
     faa_di_bruno_derivative,
@@ -84,16 +83,17 @@ class TestCheckGrid:
         while len(grid) < 100:
             r = 0.9 * math.sqrt(rng.random())
             grid.append({"z": r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))})
-        recs = check_grid("I13", grid, 1e-9)
+        recs = [eval_identity("I13", p, 1e-9) for p in grid]
         assert all(r.verdict == "pass" for r in recs)
 
     def test_excluded_point_skipped(self):
-        recs = check_grid("I06", [{"n": 1, "t": 0.4}, {"n": 1, "t": 1.0}], 1e-8)
+        recs = [eval_identity("I06", p, 1e-8) for p in ({"n": 1, "t": 0.4}, {"n": 1, "t": 1.0})]
         assert recs[0].verdict == "pass"
         assert recs[1].verdict == "skipped_domain"
 
-    def test_positional_tuples(self):
-        recs = check_grid("I12", [(n, t) for n in range(1, 5) for t in (-0.7, 0.3, 0.8)], 1e-10)
+    def test_i12_integer_points(self):
+        grid = [{"n": n, "t": t} for n in range(1, 5) for t in (-0.7, 0.3, 0.8)]
+        recs = [eval_identity("I12", p, 1e-10) for p in grid]
         assert all(r.verdict == "pass" for r in recs)
 
     @pytest.mark.parametrize("cid,fixed", [("J1", 9), ("J2", 6), ("J3", 4)])
@@ -128,7 +128,7 @@ class TestEquivalences:
             assert abs(u - w) <= 1e-9 * max(1.0, abs(u))
 
     def test_i18_entry(self):
-        recs = check_grid("I18", default_grid("I18", 60), 1e-8)
+        recs = [eval_identity("I18", p, 1e-8) for p in default_grid("I18", 60)]
         assert all(r.verdict == "pass" for r in recs)
 
 

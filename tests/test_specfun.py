@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trihyp.errors import DivergenceError, DomainError
+from trihyp.errors import BudgetError, DivergenceError, DomainError
 from trihyp.specfun import (
     HypergeometricSpec,
     SeriesControl,
@@ -83,10 +83,19 @@ class TestGamma:
                 gamma(z)
             assert rgamma(z) == 0
 
-    @pytest.mark.parametrize("z", [200, 150 + 1j, -200.5, -0.5 + 300j])
+    @pytest.mark.parametrize("z", [200, 172, -200.5, -0.5 + 300j])
     def test_overflow_is_domain_error(self, z):
         with pytest.raises(DomainError, match="overflows"):
             gamma(z)
+
+    @pytest.mark.parametrize("z", [142.6, 143, 150, 171, 150 + 1j, -150.5])
+    def test_large_argument_vs_mpmath(self, z):
+        # the Lanczos power t^(z-1/2) alone overflows here (at 142.6 its
+        # product with sqrt(2 pi) did, silently, giving nan)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.gamma(z))
+        assert abs(gamma(z) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
     def test_non_finite_argument(self, z):
@@ -139,6 +148,16 @@ class TestHypPfq:
             for k in range(4)
         )
         assert rel(v, brute) < 1e-14
+
+    @pytest.mark.parametrize(
+        "fn,args",
+        [(hyp2f1, (0.5, 0.5, 1, 0.9999)), (hyp1f1, (1, 2, 800))],
+        ids=["2f1-near-unit-circle", "1f1-overflowing-terms"],
+    )
+    def test_unconverged_series_raises(self, fn, args):
+        with pytest.raises(BudgetError, match="did not converge") as err:
+            fn(*args)
+        assert not err.value.best.converged
 
     def test_nonconvergence_flagged(self):
         res = hyp_pfq(
