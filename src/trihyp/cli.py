@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .errors import DomainError, TrihypError
@@ -59,28 +59,10 @@ def parse_complex(text: str) -> complex:
     if not tok.endswith("i"):
         value = complex(float(tok), 0.0)
     else:
-        value = _parse_imaginary(tok[:-1])
+        value = complex(tok[:-1] + "j")
     if not cmath.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
-
-
-def _parse_imaginary(body: str) -> complex:
-    """'a+b' / 'a-b' / 'b' of a number written with a trailing 'i'."""
-    # split into real part and signed imaginary coefficient
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part, im_part = body[:k], body[k:]
-            break
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
-        im = float(im_part)
-    return complex(float(re_part) if re_part else 0.0, im)
 
 
 def format_value(z) -> str:
@@ -204,22 +186,11 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
     return Report(
         tool_version=__version__,
-        config_echo=_config_echo(config),
+        config_echo=asdict(config),
         records=tuple(records),
         summary=summary,
         wall_time_ms=wall_ms,
     )
-
-
-def _config_echo(config: SweepConfig) -> dict:
-    return {
-        "identity_ids": list(config.identity_ids),
-        "grid": config.grid,
-        "tolerance": config.tolerance,
-        "seed": config.seed,
-        "output_format": config.output_format,
-        "output_path": config.output_path,
-    }
 
 
 def _serialize_value(v):
@@ -309,9 +280,7 @@ _EVAL_REGISTRY = {
     "1f1": (lambda a, b, z: sf.hyp1f1(a, b, z, _CLI_CONTROL), 3),
     "2f1": (lambda a, b, c, z: sf.hyp2f1(a, b, c, z, _CLI_CONTROL), 4),
     "2f1_reg": (
-        lambda a, b, c, z: sf.hyp_pfq_regularized(
-            sf.HypergeometricSpec.of((a, b), (c,), z), _CLI_CONTROL
-        ).value,
+        lambda a, b, c, z: sf.hyp_pfq_regularized((a, b), (c,), z, _CLI_CONTROL).value,
         4,
     ),
     "3f2": (
@@ -404,9 +373,7 @@ def _load_config_file(path: str) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    allowed = {"identity_ids", "grid", "tolerance", "seed",
-               "output_format", "output_path"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return doc
@@ -521,8 +488,9 @@ def _cmd_integrate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"quadrature  = {format_value(rec.lhs_value)}")
-    print(f"closed form = {format_value(rec.rhs_value)}")
+    # a side without a value diverged or exhausted its evaluation budget
+    for label, v in (("quadrature ", rec.lhs_value), ("closed form", rec.rhs_value)):
+        print(f"{label} = {'none' if v is None else format_value(v)}")
     print(f"abs_err = {rec.abs_err:.3e}  rel_err = {rec.rel_err:.3e}  "
           f"verdict = {rec.verdict}")
     return EXIT_OK if rec.verdict == "pass" else EXIT_CHECK_FAILED

@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Mapping
 
-from .errors import DivergenceError, DomainError
+from .errors import BudgetError, DivergenceError, DomainError
 from .specfun import (
-    HypergeometricSpec,
     bell_polynomial,
     hyp1f1,
     hyp2f1,
@@ -542,9 +541,7 @@ _register(
         id="I06",
         params=_P_NT,
         domain="n in 0..6, |t| <= 0.92; t = 1 excluded (both sides divergent)",
-        lhs=lambda n, t: hyp_pfq_regularized(
-            HypergeometricSpec.of((0.5, 1.0), (1.0 - n,), t)
-        ).value,
+        lhs=lambda n, t: hyp_pfq_regularized((0.5, 1.0), (1.0 - n,), t).value,
         rhs=_rhs_i06,
         anchor="regularized 2F1(1/2,1;1-n;t) reduction",
         in_domain=lambda n, t: _int_in(n, 0, 6) and _in_disc(t) and t != 1,
@@ -619,9 +616,7 @@ _register(
         id="I11",
         params=_P_NT,
         domain="n in 1..6, |t| <= 3 (series terminates, any finite t works)",
-        lhs=lambda n, t: hyp_pfq_regularized(
-            HypergeometricSpec.of((0.5 - n, 1.0 - n), (2.0 - n,), t)
-        ).value,
+        lhs=lambda n, t: hyp_pfq_regularized((0.5 - n, 1.0 - n), (2.0 - n,), t).value,
         rhs=_rhs_i11,
         anchor="regularized 2F1(1/2-n,1-n;2-n;t) = 2 (1/2)_n t^(n-1)",
         in_domain=lambda n, t: _int_in(n, 1, 6) and abs(complex(t)) <= 3.0,
@@ -667,9 +662,7 @@ _register(
         id="I14",
         params=_P_NZ,
         domain="n in 1..3, z real in (0, 0.97]; Bell form is branch-valid on (0,1) only",
-        lhs=lambda n, z: hyp_pfq_regularized(
-            HypergeometricSpec.of((1.0 / 3.0, 2.0 / 3.0), (1.5 - n,), z)
-        ).value,
+        lhs=lambda n, z: hyp_pfq_regularized((1.0 / 3.0, 2.0 / 3.0), (1.5 - n,), z).value,
         rhs=_rhs_i14,
         anchor="regularized 2F1(1/3,2/3;3/2-n;z) via Bell polynomials of h_s",
         in_domain=lambda n, z: _int_in(n, 1, 3)
@@ -923,12 +916,18 @@ def _record(identity_id, params, lv, rv, tol) -> CheckRecord:
     )
 
 
+_EXHAUSTED = object()  # _side's value of a side whose evaluation budget ran out
+
+
 def _side(fn, p):
-    """One side's value, or None where it diverges."""
+    """One side's value; None where it diverges, ``_EXHAUSTED`` where a
+    series or the quadrature exhausts its budget."""
     try:
         return fn(**p)
     except DivergenceError:
         return None
+    except BudgetError:
+        return _EXHAUSTED
 
 
 def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
@@ -937,9 +936,10 @@ def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
     Points outside the entry's domain, or that an evaluator rejects with
     :class:`DomainError` (a quadrature node beyond a special function's
     range), come back as ``skipped_domain``.  Points where exactly one
-    side diverges count as ``fail``; points where both sides are
-    genuinely infinite (the divergent rows of the piecewise forms) come
-    back as ``divergent_both``.
+    side diverges, or where either side raises :class:`BudgetError`,
+    count as ``fail`` with that side's value None; points where both
+    sides are genuinely infinite (the divergent rows of the piecewise
+    forms) come back as ``divergent_both``.
     """
     if tol <= 0:
         raise DomainError("tolerance must be positive")
@@ -955,6 +955,7 @@ def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
         return skipped
     if lv is None and rv is None:
         return CheckRecord(desc.id, point, None, None, 0.0, 0.0, "divergent_both")
+    lv, rv = (None if v is _EXHAUSTED else v for v in (lv, rv))
     if lv is None or rv is None:
         return CheckRecord(desc.id, point, lv, rv, math.inf, math.inf, "fail")
     return _record(desc.id, point, lv, rv, tol)

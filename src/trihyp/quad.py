@@ -19,7 +19,6 @@ from functools import partial
 
 from .errors import BudgetError, DomainError
 from .specfun import (
-    HypergeometricSpec,
     gamma,
     hyp_pfq,
     lower_incomplete_gamma,
@@ -231,7 +230,7 @@ def laplace_integral(a, b, alpha, s, x, tol) -> complex:
     """int_0^inf e^(-st) t^(alpha-1) pFq(a; b; x t) dt (the Laplace lemma, J0)."""
 
     def f(t: float) -> complex:
-        df = hyp_pfq(HypergeometricSpec.of(a, b, x * t)).value
+        df = hyp_pfq(a, b, x * t).value
         return cmath.exp(-s * t) * t ** (alpha - 1.0) * df
 
     # for p = q the integrand grows like e^(x t)
@@ -241,9 +240,7 @@ def laplace_integral(a, b, alpha, s, x, tol) -> complex:
 
 def laplace_closed_form(a, b, alpha, s, x) -> complex:
     """Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)."""
-    return gamma(alpha) * s ** (-alpha) * hyp_pfq(
-        HypergeometricSpec.of(a + (alpha,), b, x / s)
-    ).value
+    return gamma(alpha) * s ** (-alpha) * hyp_pfq(a + (alpha,), b, x / s).value
 
 
 def laplace_random_draw(rng) -> dict:
@@ -281,7 +278,12 @@ def j2_integral(n: int, p, x, tol) -> complex:
     """int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt; p = 0 is the algebraic-tail branch."""
 
     def f(t: float) -> complex:
-        return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
+        try:
+            return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
+        except OverflowError:
+            # t^(-1/2-n) overflows only at nodes t < 10^(-308/(n+1/2)), where
+            # gamma(n, xt) = (xt)^n / n to about 10^(-308/(n+1/2)) |x|
+            return cmath.exp(-p * t) * t**-0.5 * x**n / n
 
     return _quadrature(f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
 

@@ -15,10 +15,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 from .errors import DomainError
-from .specfun import HypergeometricSpec, SeriesControl, hyp_pfq
+from .specfun import SeriesControl, hyp_pfq
 
 __all__ = [
     "TrinomialInstance",
@@ -54,7 +53,6 @@ class TrinomialInstance:
 @dataclass(frozen=True)
 class RootSet:
     roots: tuple
-    method: Literal["series", "closed_form"]
     residuals: tuple
 
 
@@ -91,7 +89,11 @@ def _series_parameters(n: int):
     return [float(v) for v in upper], [float(v) for v in lower]
 
 
-def root_hypergeometric(inst: TrinomialInstance, control: SeriesControl | None = None) -> complex:
+# the series converges slowly near the edge |z| = 0.999 of its disc
+_ROOT_SERIES_CONTROL = SeriesControl(max_terms=40_000)
+
+
+def root_hypergeometric(inst: TrinomialInstance) -> complex:
     """The t -> 0 branch of x^n - x + t = 0 by the hypergeometric series.
 
     Only defined inside the convergence disc |z| <= 0.999 of the series
@@ -103,9 +105,7 @@ def root_hypergeometric(inst: TrinomialInstance, control: SeriesControl | None =
             f"series argument |z| = {abs(z):.4f} outside the convergence disc"
         )
     upper, lower = _series_parameters(inst.n)
-    ctrl = control or SeriesControl(max_terms=40_000)
-    res = hyp_pfq(HypergeometricSpec.of(upper, lower, z), ctrl)
-    return inst.t * res.value
+    return inst.t * hyp_pfq(upper, lower, z, _ROOT_SERIES_CONTROL).value
 
 
 def lagrange_coefficient(n: int, k: int) -> int:
@@ -144,7 +144,7 @@ def quadratic_roots(t) -> RootSet:
     s = cmath.sqrt(1.0 - 4.0 * t)
     roots = ((1.0 - s) / 2.0, (1.0 + s) / 2.0)
     inst = TrinomialInstance(2, t)
-    return RootSet(roots, "closed_form", tuple(residual(inst, x) for x in roots))
+    return RootSet(roots, tuple(residual(inst, x) for x in roots))
 
 
 def _depressed_cubic_roots(m, nn):
@@ -215,7 +215,7 @@ def quartic_roots(p, q, r) -> RootSet:
         )
     )
     res = tuple(abs(x**4 + p * x * x + q * x + r) for x in roots)
-    return RootSet(roots, "closed_form", res)
+    return RootSet(roots, res)
 
 
 def g_function(z) -> complex:
@@ -240,8 +240,8 @@ def trinomial_closed_roots(n: int, t) -> RootSet:
     if n == 3:
         # x^3 - 3 (1/3) x + 2 (t/2) = 0
         roots = _sorted_roots(_depressed_cubic_roots(1.0 / 3.0, t / 2.0))
-        return RootSet(roots, "closed_form", tuple(residual(inst, x) for x in roots))
+        return RootSet(roots, tuple(residual(inst, x) for x in roots))
     if n == 4:
         rs = quartic_roots(0.0, -1.0, t)
-        return RootSet(rs.roots, "closed_form", tuple(residual(inst, x) for x in rs.roots))
+        return RootSet(rs.roots, tuple(residual(inst, x) for x in rs.roots))
     raise DomainError(f"no closed form implemented for n = {n}")

@@ -23,7 +23,6 @@ from .errors import BudgetError, DivergenceError, DomainError
 __all__ = [
     "SeriesControl",
     "SeriesResult",
-    "HypergeometricSpec",
     "pochhammer",
     "gamma",
     "rgamma",
@@ -169,30 +168,23 @@ class SeriesControl:
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """A series value.  ``converged`` is False only on the partial result
+    a :class:`BudgetError` carries as ``best``."""
+
     value: complex
     terms_used: int
     converged: bool
     est_error: float
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameter lists (a_1..a_p; b_1..b_q) and argument z of pFq."""
-
-    upper: tuple
-    lower: tuple
-    argument: complex
-
-    @staticmethod
-    def of(upper: Sequence, lower: Sequence, argument) -> "HypergeometricSpec":
-        return HypergeometricSpec(
-            tuple(complex(a) for a in upper),
-            tuple(complex(b) for b in lower),
-            complex(argument),
-        )
-
-
 _DEFAULT_CONTROL = SeriesControl()
+
+
+def _unconverged(upper, lower, partial: SeriesResult) -> BudgetError:
+    return BudgetError(
+        f"{len(upper)}F{len(lower)} series did not converge in {partial.terms_used} terms",
+        best=partial,
+    )
 
 
 def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
@@ -200,7 +192,9 @@ def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
     t_{k+1} = t_k * prod(a+k)/prod(b+k) * z/(k+1).
 
     ``start_term``/``start_k`` let the regularized evaluator begin past
-    lower-parameter poles.  No convergence prechecks happen here.
+    lower-parameter poles.  No convergence prechecks happen here; a sum
+    that misses the stop rule within the term budget raises
+    :class:`BudgetError` with the partial sum as ``best``.
     """
     term = 1.0 + 0.0j if start_term is None else complex(start_term)
     total = term
@@ -222,7 +216,7 @@ def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
                 return SeriesResult(total, k - start_k, True, abs(term))
         else:
             small = 0
-    return SeriesResult(total, k - start_k, False, abs(term))
+    raise _unconverged(upper, lower, SeriesResult(total, k - start_k, False, abs(term)))
 
 
 def gauss_sum_2f1(a, b, c) -> complex:
@@ -299,8 +293,9 @@ def _pfq_at_unit_argument(upper, lower, ctrl):
         # integral-comparison tail estimate
         res = _sum_series(upper, lower, 1.0 + 0.0j, ctrl)
         tail = res.est_error * res.terms_used / (margin - 1.0)
-        ok = tail <= ctrl.rel_tol * max(1.0, abs(res.value))
-        return SeriesResult(res.value, res.terms_used, ok, tail)
+        if tail > ctrl.rel_tol * max(1.0, abs(res.value)):
+            raise _unconverged(upper, lower, SeriesResult(res.value, res.terms_used, False, tail))
+        return SeriesResult(res.value, res.terms_used, True, tail)
     raise DomainError(
         "pFq at z=1: no summation formula applies and the series "
         "converges too slowly to evaluate"
@@ -333,17 +328,25 @@ def _check_pfq_domain(upper, lower, z, regularized):
     raise DomainError("pFq with p > q+1 diverges for z != 0")
 
 
-def hyp_pfq(spec: HypergeometricSpec, control: SeriesControl | None = None) -> SeriesResult:
-    """Generalized hypergeometric series pFq by direct term recurrence.
+def _complex_args(upper, lower, z):
+    return tuple(complex(a) for a in upper), tuple(complex(b) for b in lower), complex(z)
+
+
+def hyp_pfq(
+    upper: Sequence, lower: Sequence, z, control: SeriesControl | None = None
+) -> SeriesResult:
+    """Generalized hypergeometric series pFq(upper; lower; z) by direct
+    term recurrence.
 
     For p <= q the series is entire; for p = q+1 the argument must
     satisfy |z| < 1, except z = 1 which is routed through the Gauss or
     Whipple summation formulas (divergent cases raise
-    :class:`DivergenceError`).  ``hyp_pfq`` of any spec at z = 0 returns
-    exactly 1.
+    :class:`DivergenceError`).  At z = 0 the value is exactly 1.  A
+    series that does not converge within the control's term budget
+    raises :class:`BudgetError`.
     """
     ctrl = control or _DEFAULT_CONTROL
-    upper, lower, z = spec.upper, spec.lower, spec.argument
+    upper, lower, z = _complex_args(upper, lower, z)
     route = _check_pfq_domain(upper, lower, z, regularized=False)
     if route == "one":
         return SeriesResult(1.0 + 0.0j, 0, True, 0.0)
@@ -353,17 +356,18 @@ def hyp_pfq(spec: HypergeometricSpec, control: SeriesControl | None = None) -> S
 
 
 def hyp_pfq_regularized(
-    spec: HypergeometricSpec, control: SeriesControl | None = None
+    upper: Sequence, lower: Sequence, z, control: SeriesControl | None = None
 ) -> SeriesResult:
     """Regularized series: lower-parameter Pochhammers replaced by
     reciprocal gammas, entire in every parameter.
 
     Terms whose Gamma(b_j + k) sits at a pole contribute exactly 0, so
     nonpositive-integer lower parameters are fine: the sum simply starts
-    past the offending indices.
+    past the offending indices.  Raises :class:`BudgetError` like
+    :func:`hyp_pfq`.
     """
     ctrl = control or _DEFAULT_CONTROL
-    upper, lower, z = spec.upper, spec.lower, spec.argument
+    upper, lower, z = _complex_args(upper, lower, z)
     route = _check_pfq_domain(upper, lower, z, regularized=True)
     poles = [int(round(-b.real)) for b in lower if is_nonpositive_integer(b)]
     if not poles:
@@ -399,32 +403,20 @@ def hyp_pfq_regularized(
     return _sum_series(upper, lower, z, ctrl, start_term=term, start_k=k0)
 
 
-def _pfq_value(upper, lower, z, control=None) -> complex:
-    """The value of pFq; a series that did not converge within the control's
-    term budget raises :class:`BudgetError` carrying the partial result."""
-    res = hyp_pfq(HypergeometricSpec.of(upper, lower, z), control)
-    if not res.converged:
-        raise BudgetError(
-            f"{len(upper)}F{len(lower)} series did not converge in {res.terms_used} terms",
-            best=res,
-        )
-    return res.value
-
-
 def hyp0f1(b, z, control=None) -> complex:
-    return _pfq_value((), (b,), z, control)
+    return hyp_pfq((), (b,), z, control).value
 
 
 def hyp1f1(a, b, z, control=None) -> complex:
-    return _pfq_value((a,), (b,), z, control)
+    return hyp_pfq((a,), (b,), z, control).value
 
 
 def hyp2f1(a, b, c, z, control=None) -> complex:
-    return _pfq_value((a, b), (c,), z, control)
+    return hyp_pfq((a, b), (c,), z, control).value
 
 
 def hyp3f2(a1, a2, a3, b1, b2, z, control=None) -> complex:
-    return _pfq_value((a1, a2, a3), (b1, b2), z, control)
+    return hyp_pfq((a1, a2, a3), (b1, b2), z, control).value
 
 
 # --------------------------------------------------------------------------
@@ -444,15 +436,52 @@ def _pow(base, exponent) -> complex:
 _INC_GAMMA_MAX_TERMS = 5000
 
 
+def _gamma_series(nu, z):
+    """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), with its largest
+    term and the modulus of its sum."""
+    term = 1.0 / nu
+    total = term
+    largest = abs(term)
+    for k in range(_INC_GAMMA_MAX_TERMS):
+        term *= z / (nu + k + 1.0)
+        total += term
+        size = abs(term)
+        if size > largest:
+            largest = size
+        elif size <= 1e-17 * abs(total) + 5e-300:
+            break
+    else:
+        raise BudgetError(
+            f"incomplete gamma series did not converge in {_INC_GAMMA_MAX_TERMS} terms"
+        )
+    return _pow(z, nu) * cmath.exp(-z) * total, largest, abs(total)
+
+
+def _exp_polynomial_gamma(nu, z):
+    """(n-1)! (1 - e^(-z) e_{n-1}(z)) for integer nu = n, with the size of
+    its largest part and the modulus of the sum, both over (n-1)!."""
+    n = int(nu.real)
+    if z.real > 700.0:
+        return float(math.factorial(n - 1)) + 0.0j, 1.0, 1.0
+    terms = [z**k / math.factorial(k) for k in range(n)]
+    decay = cmath.exp(-z)
+    rest = 1.0 - decay * sum(terms)
+    return math.factorial(n - 1) * rest, 1.0 + abs(decay) * sum(map(abs, terms)), abs(rest)
+
+
 def lower_incomplete_gamma(nu, z) -> complex:
     """Lower incomplete gamma gamma(nu, z) for Re nu > 0 (any integer
-    nu >= 1 included).
+    nu >= 1 included), by the everywhere-convergent scaled series
+    z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)) or, for integer
+    nu = n, the exponential-polynomial form (n-1)! (1 - e^(-z) e_{n-1}(z)).
 
-    Uses the everywhere-convergent scaled series
-    gamma(nu,z) = z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)),
-    which for integer nu is the exponential-polynomial identity
-    gamma(n,z) = (n-1)! (1 - e^(-z) e_{n-1}(z)) rearranged into a
-    cancellation-free form.
+    Each form loses the digits its largest part exceeds its sum by: the
+    series off the positive real axis at large |z|, the polynomial form
+    at |z| small against n.  The first form that keeps about 8 digits
+    (ratio at most 1e8) and a finite value gives the result, otherwise
+    :class:`DomainError` is raised (as at (0.3, 300i), (0.5, -500) or
+    (2, -800)); a series that misses its stop rule within the term
+    budget raises :class:`BudgetError`.
     """
     nu = complex(nu)
     z = complex(z)
@@ -463,27 +492,23 @@ def lower_incomplete_gamma(nu, z) -> complex:
         raise DomainError("lower_incomplete_gamma needs Re nu > 0 (or integer nu >= 1)")
     if is_int and nu.real < 1:
         raise DomainError("integer order must satisfy nu >= 1")
-    if is_int and z.real > max(30.0, 2.0 * nu.real):
-        # saturated regime: the exponential-polynomial complement
-        # gamma(n,z) = (n-1)! (1 - e^-z e_{n-1}(z)) is cancellation-free here
-        n = int(nu.real)
-        fact = float(math.factorial(n - 1))
-        if z.real > 700.0:
-            return fact + 0.0j
-        acc = sum(z**k / math.factorial(k) for k in range(n))
-        return fact * (1.0 - cmath.exp(-z) * acc)
-    if abs(z) > 600:
+    if is_int and (z.real > max(30.0, 2.0 * nu.real) or abs(z) > 600):
+        forms = (_exp_polynomial_gamma,)  # saturated, or too large for the series
+    elif abs(z) > 600:
         raise DomainError("argument too large for the series evaluation")
-    term = 1.0 / nu
-    total = term
-    k = 0
-    while k < _INC_GAMMA_MAX_TERMS:
-        term *= z / (nu + k + 1.0)
-        total += term
-        k += 1
-        if abs(term) <= 1e-17 * abs(total) + 5e-300:
-            break
-    return _pow(z, nu) * cmath.exp(-z) * total
+    else:
+        forms = (_gamma_series, _exp_polynomial_gamma) if is_int else (_gamma_series,)
+    for form in forms:
+        try:
+            value, largest, total = form(nu, z)
+        except OverflowError:
+            continue
+        if largest <= 1e8 * total and cmath.isfinite(value):
+            return value
+    raise DomainError(
+        f"lower_incomplete_gamma({nu}, {z}): the evaluation loses more than 8 digits "
+        "to cancellation or overflows"
+    )
 
 
 def incomplete_beta(nu, mu, t) -> complex:
@@ -538,8 +563,7 @@ def legendre_p(nu, mu, x) -> complex:
         pref = ((1.0 + x) / (1.0 - x)) ** (mu / 2.0)
     else:
         pref = ((x + 1.0) / (x - 1.0)) ** (mu / 2.0)
-    f = hyp_pfq_regularized(HypergeometricSpec.of((nu + 1.0, -nu), (1.0 - mu,), w))
-    return pref * f.value
+    return pref * hyp_pfq_regularized((nu + 1.0, -nu), (1.0 - mu,), w).value
 
 
 def legendre_polynomial(n: int, x) -> complex:

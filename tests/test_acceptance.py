@@ -24,7 +24,7 @@ from trihyp.roots import (
     root_lagrange_partial,
     trinomial_closed_roots,
 )
-from trihyp.specfun import HypergeometricSpec, hyp2f1, hyp3f2, hyp_pfq_regularized
+from trihyp.specfun import hyp2f1, hyp3f2, hyp_pfq_regularized
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -129,9 +129,7 @@ def test_criterion_6_derivative_route():
         fd2 = (f(z + h) - 2 * f(z) + f(z - h)) / h**2
         ok &= abs(faa_di_bruno_derivative(2, z) - fd2) <= 1e-5 * max(1.0, abs(fd2))
         for n, fd in ((1, fd1), (2, fd2)):
-            lhs = hyp_pfq_regularized(
-                HypergeometricSpec.of((1 / 3, 2 / 3), (1.5 - n,), z)
-            ).value
+            lhs = hyp_pfq_regularized((1 / 3, 2 / 3), (1.5 - n,), z).value
             direct = 6 * z ** (n - 0.5) / SQRT_PI * fd
             ok &= abs(lhs - direct) <= 1e-5 * max(1.0, abs(lhs))
     _report(6, ok, "Bell-polynomial derivatives match finite differences",

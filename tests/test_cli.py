@@ -27,13 +27,16 @@ class TestComplexParsing:
             ("-0.5i", -0.5j),
             ("1.5e-2+2e1i", 0.015 + 20j),
             ("0.3+i", 0.3 + 1j),
+            ("i", 1j),
+            ("-i", -1j),
+            ("1e-3+2e-2i", 0.001 + 0.02j),
         ],
     )
     def test_forms(self, text, value):
         assert parse_complex(text) == value
 
     def test_rejects_garbage(self):
-        for bad in ("", "abc", "1+2j+3"):
+        for bad in ("", "abc", "1+2j+3", "1 +2i"):
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
@@ -76,9 +79,12 @@ class TestEvalCommand:
         assert captured.out == "" and "bad numeric argument" in captured.err
 
     def test_unconverged_series(self, capsys):
-        assert main(["eval", "2f1", "0.5", "0.5", "1", "0.9999"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "did not converge" in captured.err
+        for args in (["2f1", "0.5", "0.5", "1", "0.9999"],
+                     ["2f1_reg", "0.5", "0.5", "1", "0.9999"],
+                     ["legendre_p", "0.5", "0.5", "-0.9998"]):
+            assert main(["eval", *args]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and "did not converge" in captured.err
 
     @pytest.mark.parametrize(
         "args,printed",
@@ -214,8 +220,8 @@ class TestCheckGrids:
         assert not out.exists()
 
     def test_evaluator_range_is_skipped(self, tmp_path):
-        # inside the J1 hypotheses, but the quadrature window reaches |x t| = 1000,
-        # beyond the range of the incomplete gamma series
+        # inside the J1 hypotheses, but the quadrature window reaches x t = -1000,
+        # where gamma(1, x t) = 1 - e^1000 overflows a double
         out = tmp_path / "r.json"
         assert main(["check", "--ids", "J1", "--grid", "n:0", "--grid", "s:2.1",
                      "--grid", "x:-2", "--out", str(out)]) == 0
@@ -244,6 +250,13 @@ class TestIntegrateCommand:
         assert main(["integrate", "J1", "--n", "0", "--s", "2", "--x", "1"]) == 0
         out = capsys.readouterr().out
         assert "quadrature" in out and "closed form" in out and "pass" in out
+
+    def test_side_without_value(self, capsys):
+        # in the J1 domain, but the slowly damped oscillation exhausts the quadrature budget
+        assert main(["integrate", "J1", "--n", "3", "--s", "1", "--x=-0.9+5i"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "quadrature  = none" and out[1].startswith("closed form = -3.8969")
+        assert out[2].endswith("verdict = fail")
 
     def test_custom_expression(self, capsys):
         assert main(["integrate", "custom", "exp(-t)"]) == 0

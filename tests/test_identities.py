@@ -1,10 +1,12 @@
 import cmath
+import dataclasses
 import math
 from random import Random
 
 import pytest
 
-from trihyp.errors import DomainError
+from trihyp import identities
+from trihyp.errors import BudgetError, DomainError
 from trihyp.identities import (
     default_grid,
     eval_identity,
@@ -66,6 +68,18 @@ class TestEvalIdentity:
         rec = eval_identity("I02", {"n": 2, "t": 1}, 1e-9)
         assert rec.verdict == "divergent_both"
         assert rec.lhs_value is None and rec.rhs_value is None
+
+    @pytest.mark.parametrize("sides", [("lhs",), ("rhs",), ("lhs", "rhs")])
+    def test_exhausted_budget_is_a_failed_point(self, monkeypatch, sides):
+        def exhausted(**_):
+            raise BudgetError("series did not converge")
+
+        entry = dataclasses.replace(get_identity("I01"), **{s: exhausted for s in sides})
+        monkeypatch.setitem(identities._CATALOG, "I01", entry)
+        rec = eval_identity("I01", {"t": 0.5}, 1e-9)
+        assert rec.verdict == "fail" and rec.abs_err == rec.rel_err == math.inf
+        assert (rec.lhs_value is None) == ("lhs" in sides)
+        assert (rec.rhs_value is None) == ("rhs" in sides)
 
     def test_bad_params(self):
         with pytest.raises(DomainError):

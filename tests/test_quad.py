@@ -120,6 +120,11 @@ class TestJ1:
         rec = check_point("J1", {"n": 2, "s": 3.0, "x": 1.0}, 1e-6)
         assert rec.verdict == "pass"
 
+    @pytest.mark.parametrize("n,s,x", [(0, 2.0, -1.0), (0, 2.0, 0.1 + 1j), (3, 2.0, -0.8 + 1j)])
+    def test_negative_and_complex_x(self, n, s, x):
+        # far nodes put x t where the incomplete gamma series cancels
+        assert check_point("J1", {"n": n, "s": s, "x": x}, 1e-6).verdict == "pass"
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             check_point("J1", {"n": -1, "s": 2.0, "x": 1.0}, 1e-6)
@@ -143,6 +148,15 @@ class TestJ2:
     def test_higher_order(self):
         rec = check_point("J2", {"n": 2, "p": 2.0, "x": 0.5}, 1e-6)
         assert rec.verdict == "pass"
+
+    @pytest.mark.parametrize("n,p,x", [(1, 2.0, -1.0), (2, 1.0, 0.1 + 3j), (3, 2.0, -1.0 + 1j)])
+    def test_negative_and_complex_x(self, n, p, x):
+        assert check_point("J2", {"n": n, "p": p, "x": x}, 1e-6).verdict == "pass"
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_deep_nodes_of_high_order(self, n):
+        # t^(-1/2-n) overflows at the tanh-sinh nodes nearest t = 0
+        assert check_point("J2", {"n": n, "p": 0.5, "x": 0.4}, 1e-6).verdict == "pass"
 
     def test_preconditions(self):
         with pytest.raises(DomainError):

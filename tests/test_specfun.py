@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from trihyp.errors import BudgetError, DivergenceError, DomainError
 from trihyp.specfun import (
-    HypergeometricSpec,
     SeriesControl,
     _sum_series,
     bell_polynomial,
@@ -105,8 +104,7 @@ class TestGamma:
 
 class TestHypPfq:
     def test_unity_at_zero(self):
-        spec = HypergeometricSpec.of((0.3 + 1j, 2.5), (1.25,), 0.0)
-        res = hyp_pfq(spec)
+        res = hyp_pfq((0.3 + 1j, 2.5), (1.25,), 0.0)
         assert res.value == 1.0 and res.converged and res.est_error == 0.0
 
     @given(
@@ -115,7 +113,7 @@ class TestHypPfq:
     )
     @settings(deadline=None, max_examples=30)
     def test_unity_at_zero_property(self, upper, lower):
-        assert hyp_pfq(HypergeometricSpec.of(upper, lower, 0.0)).value == 1.0
+        assert hyp_pfq(upper, lower, 0.0).value == 1.0
 
     def test_gauss_point(self):
         assert rel(hyp2f1(0.5, 1, 2, 1), 2.0) < 1e-12
@@ -151,8 +149,13 @@ class TestHypPfq:
 
     @pytest.mark.parametrize(
         "fn,args",
-        [(hyp2f1, (0.5, 0.5, 1, 0.9999)), (hyp1f1, (1, 2, 800))],
-        ids=["2f1-near-unit-circle", "1f1-overflowing-terms"],
+        [
+            (hyp2f1, (0.5, 0.5, 1, 0.9999)),
+            (hyp1f1, (1, 2, 800)),
+            (hyp_pfq_regularized, ((0.5, 0.5), (1,), 0.9999)),
+            (legendre_p, (0.5, 0.5, -0.9998)),
+        ],
+        ids=["2f1-near-unit-circle", "1f1-overflowing-terms", "2f1-regularized", "legendre"],
     )
     def test_unconverged_series_raises(self, fn, args):
         with pytest.raises(BudgetError, match="did not converge") as err:
@@ -160,11 +163,16 @@ class TestHypPfq:
         assert not err.value.best.converged
 
     def test_nonconvergence_flagged(self):
-        res = hyp_pfq(
-            HypergeometricSpec.of((0.5, 1.0), (2.0,), 0.999),
-            SeriesControl(rel_tol=1e-13, max_terms=50),
-        )
-        assert not res.converged
+        with pytest.raises(BudgetError, match="2F1 series did not converge in 50 terms") as err:
+            hyp_pfq((0.5, 1.0), (2.0,), 0.999, SeriesControl(rel_tol=1e-13, max_terms=50))
+        assert not err.value.best.converged and err.value.best.terms_used == 50
+
+    def test_unit_argument_budget_raises(self):
+        # margin 3 > 2 takes the direct sum at z = 1, whose terms fall like
+        # k^-3: 30 terms leave a tail near 1e-4, far above the tolerance
+        with pytest.raises(BudgetError, match="3F2 series did not converge") as err:
+            hyp_pfq((1, 1, 1), (2, 4), 1.0, SeriesControl(max_terms=30))
+        assert not err.value.best.converged
 
     def test_gauss_summation_check(self):
         # routing at z = 1 against the gamma-ratio formula written out here
@@ -213,17 +221,17 @@ class TestHypPfq:
 
 class TestRegularized:
     def test_trivial_at_zero(self):
-        res = hyp_pfq_regularized(HypergeometricSpec.of((0.5, 1.0), (2.0,), 0.0))
+        res = hyp_pfq_regularized((0.5, 1.0), (2.0,), 0.0)
         assert rel(res.value, 1.0) < 1e-14  # 1/Gamma(2)
 
     def test_negative_integer_lower(self):
         # (1/2)_2 * (0.5/0.5)^2 / sqrt(0.5) = (3/4) sqrt(2)
-        res = hyp_pfq_regularized(HypergeometricSpec.of((0.5, 1.0), (-1.0,), 0.5))
+        res = hyp_pfq_regularized((0.5, 1.0), (-1.0,), 0.5)
         assert rel(res.value, 0.75 * math.sqrt(2)) < 1e-12
 
     def test_differentiation_row(self):
         # 2 (1/2)_2 t at n = 2, t = 0.3
-        res = hyp_pfq_regularized(HypergeometricSpec.of((-1.5, -1.0), (0.0,), 0.3))
+        res = hyp_pfq_regularized((-1.5, -1.0), (0.0,), 0.3)
         assert rel(res.value, 0.45) < 1e-13
 
     def test_matches_scaled_plain_series(self):
@@ -236,7 +244,7 @@ class TestRegularized:
             if abs(z) >= 0.9:
                 continue
             plain = hyp2f1(a, b, c, z)
-            reg = hyp_pfq_regularized(HypergeometricSpec.of((a, b), (c,), z)).value
+            reg = hyp_pfq_regularized((a, b), (c,), z).value
             assert rel(reg, plain * rgamma(c)) < 1e-12
 
 
@@ -267,6 +275,40 @@ class TestIncompleteGamma:
             lower_incomplete_gamma(-0.5, 1.0)
         with pytest.raises(DomainError):
             lower_incomplete_gamma(0, 1.0)
+
+    @pytest.mark.parametrize(
+        "nu,z", [(0.5, 2 + 1j), (1.6, 25.0), (0.3, -10.0), (0.5, -18.0), (0.7 + 0.4j, -5 + 8j),
+                 (3.7, 12 - 4j)]
+    )
+    def test_vs_mpmath(self, nu, z):
+        # up to the 1e8 cancellation limit, so about 8 digits at worst
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = complex(mpmath.gammainc(nu, 0, z))
+        assert abs(lower_incomplete_gamma(nu, z) - ref) <= 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize("n,z", [(1, -50.0), (3, -25 - 30j), (2, 5 + 40j), (4, -40.0),
+                                     (5, 0.1 + 900j), (2, -650.0)])
+    def test_integer_order_where_the_series_cancels(self, n, z):
+        # the series would lose 12 to 16 digits here (or |z| > 600), so the
+        # exponential-polynomial form takes over at full precision
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40 + int(abs(z) / 2.3)):
+            ref = complex(mpmath.gammainc(n, 0, z))
+        assert abs(lower_incomplete_gamma(n, z) - ref) <= 1e-10 * abs(ref)
+
+    @pytest.mark.parametrize("n,z", [(2, -800.0), (200, 500.0), (200, 1000j)])
+    def test_integer_order_overflow_raises(self, n, z):
+        # gamma(2, -800) is about 800 e^800; 199! and 1000^199 overflow a double
+        with pytest.raises(DomainError, match="8 digits"):
+            lower_incomplete_gamma(n, z)
+
+    @pytest.mark.parametrize("nu,z", [(0.3, 300j), (0.5, -500.0), (0.5, 550 + 200j), (200.5, 500.0)])
+    def test_cancellation_or_overflow_raises(self, nu, z):
+        # mpmath: 2.98-0.009i, 1.77+6.3e215i, and a value the series misses by
+        # 12%; the last overflows the z^nu prefactor
+        with pytest.raises(DomainError, match="8 digits"):
+            lower_incomplete_gamma(nu, z)
 
 
 class TestIncompleteBeta:
