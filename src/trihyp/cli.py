@@ -395,14 +395,11 @@ def _build_config(args) -> SweepConfig:
         base["output_format"] = args.format
     if args.out is not None:
         base["output_path"] = args.out
-    cfg = SweepConfig(
-        identity_ids=tuple(base.get("identity_ids", ())),
-        grid=base.get("grid"),
-        tolerance=base.get("tolerance"),
-        seed=int(base.get("seed", DEFAULT_SEED)),
-        output_format=base.get("output_format", "json"),
-        output_path=base.get("output_path", "trihyp-report.json"),
-    )
+    if "identity_ids" in base:
+        base["identity_ids"] = tuple(base["identity_ids"])
+    if "seed" in base:
+        base["seed"] = int(base["seed"])
+    cfg = SweepConfig(**base)
     if cfg.tolerance is not None and not cfg.tolerance > 0:
         raise ValueError("tolerance must be positive")
     if cfg.output_format not in ("json", "csv"):
@@ -457,7 +454,10 @@ def _cmd_integrate(args) -> int:
             code = compile(args.expr, "<integrand>", "eval")
 
             def f(t):
-                return complex(eval(code, {"__builtins__": {}}, dict(_CUSTOM_ENV, t=t)))
+                try:
+                    return complex(eval(code, {"__builtins__": {}}, dict(_CUSTOM_ENV, t=t)))
+                except OverflowError:
+                    raise DomainError(f"integrand overflows at t = {t:.6g}") from None
 
             res = integrate_semi_infinite(f, tol, args.sigma, args.decay)
             print(f"value = {format_value(res.value)}")
@@ -488,7 +488,7 @@ def _cmd_integrate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # a side without a value diverged or exhausted its evaluation budget
+    # a side without a value diverged, or its series or quadrature did not converge
     for label, v in (("quadrature ", rec.lhs_value), ("closed form", rec.rhs_value)):
         print(f"{label} = {'none' if v is None else format_value(v)}")
     print(f"abs_err = {rec.abs_err:.3e}  rel_err = {rec.rel_err:.3e}  "

@@ -20,8 +20,8 @@ class DivergenceError(DomainError):
 
 
 class BudgetError(TrihypError, RuntimeError):
-    """An evaluation budget was exhausted.  ``best`` carries the best
-    estimate computed before giving up."""
+    """A series did not converge within its term budget, or a quadrature
+    at its finest level.  ``best`` carries the last estimate."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

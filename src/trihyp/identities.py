@@ -442,11 +442,9 @@ def _int_in(n, lo, hi) -> bool:
     return isinstance(n, int) and lo <= n <= hi
 
 
-def _make_nt_sampler(n_lo, n_hi, radius=0.92, min_abs=0.0, cycle=None):
-    ns = cycle or list(range(n_lo, n_hi + 1))
-
+def _make_nt_sampler(n_lo, n_hi, min_abs=0.0):
     def sample(rng: Random) -> dict:
-        return {"n": ns[rng.randrange(len(ns))], "t": _disc(rng, radius, min_abs)}
+        return {"n": rng.randrange(n_lo, n_hi + 1), "t": _disc(rng, 0.92, min_abs)}
 
     return sample
 
@@ -916,12 +914,12 @@ def _record(identity_id, params, lv, rv, tol) -> CheckRecord:
     )
 
 
-_EXHAUSTED = object()  # _side's value of a side whose evaluation budget ran out
+_EXHAUSTED = object()  # _side's value of a side whose series or quadrature did not converge
 
 
 def _side(fn, p):
     """One side's value; None where it diverges, ``_EXHAUSTED`` where a
-    series or the quadrature exhausts its budget."""
+    series or the quadrature raises :class:`BudgetError`."""
     try:
         return fn(**p)
     except DivergenceError:

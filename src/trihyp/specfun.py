@@ -302,34 +302,62 @@ def _pfq_at_unit_argument(upper, lower, ctrl):
     )
 
 
-def _check_pfq_domain(upper, lower, z, regularized):
+def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
+    """The one route choice of :func:`hyp_pfq` and
+    :func:`hyp_pfq_regularized`: z = 0, the regularized start past the
+    lower-parameter poles, unit argument, or the direct series."""
+    ctrl = control or _DEFAULT_CONTROL
+    upper = tuple(complex(a) for a in upper)
+    lower = tuple(complex(b) for b in lower)
+    z = complex(z)
+    poles = [b for b in lower if is_nonpositive_integer(b)]
+    if poles and not regularized:
+        raise DomainError(
+            f"lower parameter {poles[0]} is a nonpositive integer; "
+            "use the regularized series"
+        )
+    # a terminating upper parameter makes a polynomial, fine for any z
+    terminating = any(is_nonpositive_integer(a) for a in upper)
     p, q = len(upper), len(lower)
-    if not regularized:
-        for b in lower:
-            if is_nonpositive_integer(b):
-                raise DomainError(
-                    f"lower parameter {b} is a nonpositive integer; "
-                    "use the regularized series"
-                )
-    if z == 0:
-        return "one"
-    if any(is_nonpositive_integer(a) for a in upper):
-        return "series"  # terminating: a polynomial, fine for any z
-    if p <= q:
-        return "series"
-    if p == q + 1:
-        if z == 1:
-            return "unit"
-        if abs(z) >= 1.0:
+    if z != 0 and not terminating and p > q:
+        if p > q + 1:
+            raise DomainError("pFq with p > q+1 diverges for z != 0")
+        if z != 1 and abs(z) >= 1.0:
             raise DomainError(
                 f"p = q+1 series requires |z| < 1 (got |z| = {abs(z):.6g})"
             )
-        return "series"
-    raise DomainError("pFq with p > q+1 diverges for z != 0")
-
-
-def _complex_args(upper, lower, z):
-    return tuple(complex(a) for a in upper), tuple(complex(b) for b in lower), complex(z)
+    unit = z == 1 and p == q + 1 and not terminating
+    if poles:
+        if unit:
+            raise DomainError(
+                "regularized series with nonpositive-integer lower parameter "
+                "is unsupported at z = 1"
+            )
+        # start the sum at k0, the first index past every lower-parameter pole
+        k0 = 1 - int(min(b.real for b in poles))
+        term = 1.0 + 0.0j
+        for a in upper:
+            term *= pochhammer(a, k0)
+        # every surviving term has z^k with k >= 1, and a terminating upper
+        # parameter kills every survivor
+        if z == 0 or term == 0:
+            return SeriesResult(0.0 + 0.0j, 0, True, 0.0)
+        for b in lower:
+            term *= rgamma(b + k0)
+        term *= z**k0 / math.factorial(k0)
+        return _sum_series(upper, lower, z, ctrl, start_term=term, start_k=k0)
+    scale = 1.0 + 0.0j
+    if regularized:
+        for b in lower:
+            scale *= rgamma(b)
+    if z == 0:
+        return SeriesResult(scale, 0, True, 0.0)
+    res = _pfq_at_unit_argument(upper, lower, ctrl) if unit else _sum_series(upper, lower, z, ctrl)
+    if regularized:
+        res = SeriesResult(
+            res.value * scale, res.terms_used, res.converged, res.est_error * abs(scale)
+        )
+    return res
 
 
 def hyp_pfq(
@@ -345,14 +373,7 @@ def hyp_pfq(
     series that does not converge within the control's term budget
     raises :class:`BudgetError`.
     """
-    ctrl = control or _DEFAULT_CONTROL
-    upper, lower, z = _complex_args(upper, lower, z)
-    route = _check_pfq_domain(upper, lower, z, regularized=False)
-    if route == "one":
-        return SeriesResult(1.0 + 0.0j, 0, True, 0.0)
-    if route == "unit":
-        return _pfq_at_unit_argument(upper, lower, ctrl)
-    return _sum_series(upper, lower, z, ctrl)
+    return _pfq(upper, lower, z, control, regularized=False)
 
 
 def hyp_pfq_regularized(
@@ -366,41 +387,7 @@ def hyp_pfq_regularized(
     past the offending indices.  Raises :class:`BudgetError` like
     :func:`hyp_pfq`.
     """
-    ctrl = control or _DEFAULT_CONTROL
-    upper, lower, z = _complex_args(upper, lower, z)
-    route = _check_pfq_domain(upper, lower, z, regularized=True)
-    poles = [int(round(-b.real)) for b in lower if is_nonpositive_integer(b)]
-    if not poles:
-        scale = 1.0 + 0.0j
-        for b in lower:
-            scale *= rgamma(b)
-        if route == "one":
-            return SeriesResult(scale, 0, True, 0.0)
-        if route == "unit":
-            res = _pfq_at_unit_argument(upper, lower, ctrl)
-        else:
-            res = _sum_series(upper, lower, z, ctrl)
-        return SeriesResult(
-            res.value * scale, res.terms_used, res.converged, res.est_error * abs(scale)
-        )
-    # start the sum at k0, the first index past every lower-parameter pole
-    k0 = max(poles) + 1
-    if route == "one":
-        return SeriesResult(0.0 + 0.0j, 0, True, 0.0)  # every surviving term has z^k, k >= 1
-    if route == "unit":
-        raise DomainError(
-            "regularized series with nonpositive-integer lower parameter "
-            "is unsupported at z = 1"
-        )
-    term = 1.0 + 0.0j
-    for a in upper:
-        term *= pochhammer(a, k0)
-    if term == 0:  # a terminating upper parameter kills every survivor
-        return SeriesResult(0.0 + 0.0j, 0, True, 0.0)
-    for b in lower:
-        term *= rgamma(b + k0)
-    term *= z**k0 / math.factorial(k0)
-    return _sum_series(upper, lower, z, ctrl, start_term=term, start_k=k0)
+    return _pfq(upper, lower, z, control, regularized=True)
 
 
 def hyp0f1(b, z, control=None) -> complex:

@@ -229,6 +229,28 @@ class TestCheckGrids:
         assert rec["verdict"] == "skipped_domain"
         assert rec["params"]["tol"] == 1e-6
 
+    def test_overflowing_weight_is_skipped(self, tmp_path):
+        # at x = 1e300 the tanh-sinh nodes reach t where t^(-3/2) overflows a double;
+        # that point is skipped and the x = 1 point keeps its verdict
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", "--grid", "n:0", "--grid", "s:2",
+                     "--grid", "x:1,1e300", "--out", str(out)]) == 0
+        verdicts = {r["params"]["x"][0]: r["verdict"]
+                    for r in json.loads(out.read_text())["records"]}
+        assert verdicts == {1.0: "pass", 1e300: "skipped_domain"}
+
+    def test_overflowing_power_of_the_laplace_integrand_is_skipped(self, tmp_path):
+        # t^(alpha-1) overflows near T = 140 in the truncation-point search
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({
+            "identity_ids": ["J0"],
+            "grid": {"a": [[1]], "b": [[2]], "alpha": [150], "s": [2], "x": [0.5]},
+            "output_path": str(out),
+        }))
+        assert main(["check", "--config", str(cfg)]) == 0
+        [rec] = json.loads(out.read_text())["records"]
+        assert rec["verdict"] == "skipped_domain"
+
 
 class TestReportSerialization:
     def test_csv_complex_params(self):
@@ -271,8 +293,16 @@ class TestIntegrateCommand:
         assert main(["integrate", "custom", "exp(-t)", *flag]) == 3
         assert message in capsys.readouterr().err
 
+    def test_custom_overflow(self, capsys):
+        assert main(["integrate", "custom", "exp(t*t)"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: integrand overflows") and err.count("\n") == 1
+
     def test_hypothesis_violation(self, capsys):
         assert main(["integrate", "J3", "--p", "0.4", "--x", "1"]) == 3
+
+    def test_overflowing_weight(self, capsys):
+        assert main(["integrate", "J1", "--n", "0", "--s", "2", "--x", "1e300"]) == 3
 
     def test_missing_parameter(self, capsys):
         assert main(["integrate", "J1", "--n", "0", "--s", "2"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trihyp.errors import BudgetError, DivergenceError, DomainError
+from trihyp.errors import BudgetError, DivergenceError, DomainError, TrihypError
 from trihyp.specfun import (
     SeriesControl,
     _sum_series,
@@ -246,6 +246,33 @@ class TestRegularized:
             plain = hyp2f1(a, b, c, z)
             reg = hyp_pfq_regularized((a, b), (c,), z).value
             assert rel(reg, plain * rgamma(c)) < 1e-12
+
+    @given(
+        st.lists(st.floats(min_value=-3.0, max_value=4.0), max_size=3),
+        st.lists(
+            # kept off the poles: next to one, the product of the b + k can underflow to 0
+            st.floats(min_value=-3.5, max_value=4.0).filter(
+                lambda b: b >= 0.5 or abs(b - round(b)) >= 1e-3
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.complex_numbers(max_magnitude=0.9)),
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_pole_free_lower_is_the_scaled_plain_series(self, upper, lower, z):
+        try:
+            plain = hyp_pfq(upper, lower, z)
+        except TrihypError as exc:
+            with pytest.raises(type(exc)):
+                hyp_pfq_regularized(upper, lower, z)
+            return
+        scale = 1.0 + 0.0j
+        for b in lower:
+            scale *= rgamma(b)
+        reg = hyp_pfq_regularized(upper, lower, z)
+        assert reg.value == plain.value * scale
+        assert reg.terms_used == plain.terms_used
 
 
 class TestIncompleteGamma:
