@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import io
 import json
 import math
 import os
+import pickle
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from . import __version__
 from .errors import DomainError, TrihypError
@@ -87,8 +88,7 @@ def eval_check_point(check_id: str, params: dict, tol: float) -> CheckRecord:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     identity_ids: tuple = ()  # empty means every catalog entry
     grid: dict | None = None  # per-parameter {min,max,count} or explicit list
     tolerance: float | None = None  # None: per-id defaults
@@ -97,11 +97,7 @@ class SweepConfig:
     output_path: str = "trihyp-report.json"
 
     def resolved_ids(self) -> list:
-        # quadrature entries last: the pool cuts the work into equal-count
-        # chunks in order, and in id order all the costly default integral
-        # points fall into one chunk (the default sweep then ran ~30% slower
-        # at --jobs 2 on a 2-CPU machine)
-        known = [d.id for d in sorted(list_identities(), key=lambda d: d.quadrature)]
+        known = [d.id for d in list_identities()]
         if not self.identity_ids:
             return known
         for cid in self.identity_ids:
@@ -110,8 +106,7 @@ class SweepConfig:
         return list(self.identity_ids)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     tool_version: str
     config_echo: dict
     records: tuple
@@ -157,12 +152,77 @@ def sweep_points(check_id: str, config: SweepConfig) -> list:
     return out
 
 
+def _shards(count: int, jobs: int) -> list:
+    """Round-robin split of the indices 0..count-1 over at most ``jobs``
+    processes; no shard is empty unless ``count`` is 0."""
+    jobs = max(1, min(jobs, count))
+    return [range(i, count, jobs) for i in range(jobs)]
+
+
+def _eval_points(todo: list, indices) -> tuple:
+    """The records of ``todo[i]`` for i in ``indices`` and None or, at the
+    first i whose point raises, the records so far and (i, exception)."""
+    records = []
+    for i in indices:
+        try:
+            records.append(eval_check_point(*todo[i]))
+        except Exception as exc:  # raised again by _evaluate, in this process or the parent
+            return records, (i, exc)
+    return records, None
+
+
+def _evaluate(todo: list, jobs: int) -> list:
+    """Records of every point of ``todo``, in shard order.
+
+    This process evaluates the first shard; each other shard runs in a
+    child forked for it, which writes its pickled :func:`_eval_points`
+    result to a pipe and leaves by ``os._exit``.  Of the points that
+    raised, the exception of the first in ``todo`` order is raised, as a
+    serial loop would.
+    """
+    shards = _shards(len(todo), jobs)
+    children = []  # (pid, read end of its pipe)
+    try:
+        for shard in shards[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as fh:
+                        pickle.dump(_eval_points(todo, shard), fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [_eval_points(todo, shards[0])]
+        payloads = [fh.read() for _, fh in children]
+    finally:
+        for pid, fh in children:
+            fh.close()  # a child still writing gets EPIPE instead of blocking
+        statuses = [(pid, os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for pid, status in statuses:
+        if status != 0:
+            raise RuntimeError(f"sweep worker {pid} failed (wait status {status})")
+    results += [pickle.loads(p) for p in payloads]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [r for records, _ in results for r in records]
+
+
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     """Execute the configured sweep and assemble the report.
 
-    Deterministic for a fixed config and seed: records are sorted by
-    (check id, parameter tuple) before serialization, so worker-pool
-    scheduling never changes the output.
+    ``jobs`` counts processes, this one included (default: the machine's
+    CPU count).  The points are split round-robin over them and the
+    extra processes are forked, so call this from a process without
+    threads; a sweep of 8 points or fewer, or a platform without
+    ``os.fork``, runs in this process alone.  Deterministic for a fixed
+    config and seed: records are sorted by (check id, parameter tuple)
+    before serialization, so the split never changes the output.
     """
     t0 = time.perf_counter()
     todo = []
@@ -172,12 +232,9 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
             todo.append((cid, params, tol))
     if jobs is None:
         jobs = os.cpu_count() or 1
-    if jobs > 1 and len(todo) > 8:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(eval_check_point, *zip(*todo),
-                                    chunksize=max(1, len(todo) // (4 * jobs))))
-    else:
-        records = [eval_check_point(*job) for job in todo]
+    if len(todo) <= 8 or not hasattr(os, "fork"):
+        jobs = 1
+    records = _evaluate(todo, jobs)
     records.sort(key=_record_sort_key)
     summary = {"total": len(records), "pass": 0, "fail": 0,
                "skipped_domain": 0, "divergent_both": 0}
@@ -186,7 +243,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     wall_ms = int(round((time.perf_counter() - t0) * 1000.0))
     return Report(
         tool_version=__version__,
-        config_echo=asdict(config),
+        config_echo=config._asdict(),
         records=tuple(records),
         summary=summary,
         wall_time_ms=wall_ms,
@@ -373,7 +430,7 @@ def _load_config_file(path: str) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(doc) - {f.name for f in fields(SweepConfig)}
+    unknown = set(doc) - set(SweepConfig._fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return doc
@@ -525,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tol", type=float, help="tolerance for every check")
     p_check.add_argument("--seed", type=int, help="sampling seed")
     p_check.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: machine parallelism)")
+                         help="processes, this one included (default: machine parallelism)")
     p_check.add_argument("--format", choices=["json", "csv"], help="report format")
     p_check.add_argument("--out", help="report path")
     p_check.set_defaults(fn=_cmd_check)
@@ -545,6 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # the process entry point: move the import-time heap out of the
+        # collector's reach, so that no collection in a forked sweep worker
+        # copies its pages and the exit collection skips it
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from random import Random
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetError, DivergenceError, DomainError
 from .specfun import (
@@ -66,14 +65,12 @@ _FACT = math.factorial
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     name: str
     kind: str  # "int" | "complex" | "complex_tuple"
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(NamedTuple):
     """One catalog entry: paired LHS/RHS evaluators plus metadata."""
 
     id: str
@@ -82,8 +79,8 @@ class IdentityDescriptor:
     lhs: Callable[..., complex]
     rhs: Callable[..., complex]
     anchor: str
-    in_domain: Callable[..., bool] = field(repr=False, default=lambda **kw: True)
-    sample: Callable[[Random], dict] | None = field(repr=False, default=None)  # None: fixed points only
+    in_domain: Callable[..., bool] = lambda **kw: True
+    sample: Callable[[Random], dict] | None = None  # None: fixed points only
     special_points: tuple = ()
     notes: str = ""
     tolerance: float = 1e-8  # default tolerance of a sweep
@@ -91,8 +88,7 @@ class IdentityDescriptor:
     quadrature: bool = False  # LHS by quadrature to tol/10: it takes tol, and records keep it
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """Outcome of one differential comparison."""
 
     identity_id: str

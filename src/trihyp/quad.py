@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
 from .specfun import (
@@ -46,8 +46,7 @@ _TAU_MAX = 6.5  # hard cap of the double-exponential variable
 _LEVELS = 7  # h = 0.5 down to 0.5/64
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: complex
     est_error: float
     evaluations: int

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 from .specfun import SeriesControl, hyp_pfq
@@ -38,26 +37,29 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class TrinomialInstance:
-    """One instance of x^n - x + t = 0."""
-
+class _TrinomialFields(NamedTuple):
     n: int
     t: complex
 
-    def __post_init__(self):
+
+class TrinomialInstance(_TrinomialFields):
+    """One instance of x^n - x + t = 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise DomainError("trinomial degree must satisfy n >= 2")
+        return self
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     roots: tuple
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class DescartesFactors:
+class DescartesFactors(NamedTuple):
     """Internal values of the Descartes quartic factorization
     (x^2 + alpha x + beta)(x^2 - alpha x + gamma)."""
 
@@ -80,13 +82,13 @@ def series_argument(n: int, t) -> complex:
 
 
 def _series_parameters(n: int):
-    upper = [Fraction(j, n) for j in range(1, n + 1)]
-    lower = [Fraction(j, n - 1) for j in range(2, n + 1)]
+    upper = [j / n for j in range(1, n + 1)]
+    lower = [j / (n - 1) for j in range(2, n + 1)]
     for v in list(lower):
         if v in upper:
             upper.remove(v)
             lower.remove(v)
-    return [float(v) for v in upper], [float(v) for v in lower]
+    return upper, lower
 
 
 # the series converges slowly near the edge |z| = 0.999 of its disc

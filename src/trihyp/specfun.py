@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, DivergenceError, DomainError
 
@@ -145,29 +144,33 @@ def pochhammer(a, k: int) -> complex:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesControl:
+class _SeriesControlFields(NamedTuple):
+    rel_tol: float = 1e-13
+    max_terms: int = 10_000
+    consecutive_small: int = 3
+
+
+class SeriesControl(_SeriesControlFields):
     """Truncation policy for the hypergeometric series evaluators.
 
     Summation stops once ``consecutive_small`` successive terms fall
     below ``rel_tol`` times the running partial sum.
     """
 
-    rel_tol: float = 1e-13
-    max_terms: int = 10_000
-    consecutive_small: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError("rel_tol must lie in (0, 1)")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         if self.consecutive_small < 1:
             raise DomainError("consecutive_small must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """A series value.  ``converged`` is False only on the partial result
     a :class:`BudgetError` carries as ``best``."""
 
@@ -194,28 +197,37 @@ def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
     ``start_term``/``start_k`` let the regularized evaluator begin past
     lower-parameter poles.  No convergence prechecks happen here; a sum
     that misses the stop rule within the term budget raises
-    :class:`BudgetError` with the partial sum as ``best``.
+    :class:`BudgetError` with the partial sum as ``best``, and a product
+    of lower-parameter factors that underflows to 0 (a lower parameter
+    within underflow of a pole) raises :class:`DomainError`.
     """
     term = 1.0 + 0.0j if start_term is None else complex(start_term)
     total = term
     small = 0
     k = start_k
-    for _ in range(ctrl.max_terms):
-        num = z / (k + 1.0)
-        for a in upper:
-            num *= a + k
-        den = 1.0 + 0.0j
-        for b in lower:
-            den *= b + k
-        term = term * num / den
-        total += term
-        k += 1
-        if abs(term) <= ctrl.rel_tol * abs(total):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                return SeriesResult(total, k - start_k, True, abs(term))
-        else:
-            small = 0
+    rel_tol, needed = ctrl.rel_tol, ctrl.consecutive_small  # read once, not per term
+    try:
+        for _ in range(ctrl.max_terms):
+            num = z / (k + 1.0)
+            for a in upper:
+                num *= a + k
+            den = 1.0 + 0.0j
+            for b in lower:
+                den *= b + k
+            term = term * num / den
+            total += term
+            k += 1
+            if abs(term) <= rel_tol * abs(total):
+                small += 1
+                if small >= needed:
+                    return SeriesResult(total, k - start_k, True, abs(term))
+            else:
+                small = 0
+    except ZeroDivisionError:
+        raise DomainError(
+            f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
+            f"underflow to 0 at term {k + 1} (a lower parameter within underflow of a pole)"
+        ) from None
     raise _unconverged(upper, lower, SeriesResult(total, k - start_k, False, abs(term)))
 
 

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trihyp
+from trihyp import cli
 from trihyp.cli import (
     SweepConfig,
+    _evaluate,
+    _shards,
     default_tolerance,
     format_value,
     main,
@@ -85,6 +93,11 @@ class TestEvalCommand:
             assert main(["eval", *args]) == 3
             captured = capsys.readouterr()
             assert captured.out == "" and "did not converge" in captured.err
+
+    def test_lower_parameter_within_underflow_of_a_pole(self, capsys):
+        assert main(["eval", "3f2", "1", "1", "1", "1e-200", "1e-200", "0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "underflow" in captured.err
 
     @pytest.mark.parametrize(
         "args,printed",
@@ -178,9 +191,44 @@ class TestCheckCommand:
         cfg = SweepConfig(identity_ids=("I05", "J2"), seed=11, output_path="x.json")
         r1 = run_sweep(cfg, jobs=1)
         r2 = run_sweep(cfg, jobs=3)
-        a, b = json.loads(report_to_json(r1)), json.loads(report_to_json(r2))
-        a["wall_time_ms"] = b["wall_time_ms"] = 0
-        assert a == b
+        r3 = run_sweep(cfg, jobs=2)
+        a, b, c = (json.loads(report_to_json(r)) for r in (r1, r2, r3))
+        a["wall_time_ms"] = b["wall_time_ms"] = c["wall_time_ms"] = 0
+        assert a == b == c
+
+    def test_worker_domain_error_reaches_the_caller(self, tmp_path, capsys):
+        # 12 points whose n alternates 0, 0.5 in sweep order: at --jobs 2 every
+        # point with n = 0.5 falls in the forked child's shard
+        grid = ["--grid", "n:0,0.5", "--grid", "s:1,2,3", "--grid", "x:1,1.5"]
+        errors = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"r{jobs}.json"
+            assert main(["check", "--ids", "J1", *grid, "--jobs", jobs, "--out", str(out)]) == 3
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert "must be an integer" in errors[0] and errors[0] == errors[1]
+
+    def test_first_failing_point_wins(self, monkeypatch):
+        # points 3 and 6 raise, in different shards at jobs = 2; a serial
+        # loop stops at point 3, and so must the split
+        def point(i):
+            if i in (3, 6):
+                raise ValueError(f"point {i}")
+            return i
+
+        monkeypatch.setattr(cli, "eval_check_point", point)
+        todo = [(i,) for i in range(12)]
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="point 3"):
+                _evaluate(todo, jobs)
+        assert sorted(_evaluate(todo[:3], 2)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("count,jobs", [(3, 5), (10, 3), (9, 2), (5, 1), (5, 0)])
+    def test_shards_cover_every_point_once(self, count, jobs):
+        shards = _shards(count, jobs)
+        assert len(shards) == max(1, min(jobs, count))
+        assert all(len(s) > 0 for s in shards)
+        assert sorted(i for s in shards for i in s) == list(range(count))
 
 
 class TestCheckGrids:
@@ -325,3 +373,15 @@ class TestFullRegistry:
         assert s["total"] == len(doc["records"])
         assert (s["pass"] + s["fail"] + s["skipped_domain"] + s["divergent_both"]
                 == s["total"])
+
+
+def test_import_leaves_out_the_pool_and_dataclass_machinery():
+    src = str(Path(trihyp.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import trihyp.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "trihyp.cli" in added
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "fractions")
+    assert [m for m in heavy if m in added] == []

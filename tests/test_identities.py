@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 from random import Random
 
@@ -74,7 +73,7 @@ class TestEvalIdentity:
         def exhausted(**_):
             raise BudgetError("series did not converge")
 
-        entry = dataclasses.replace(get_identity("I01"), **{s: exhausted for s in sides})
+        entry = get_identity("I01")._replace(**{s: exhausted for s in sides})
         monkeypatch.setitem(identities._CATALOG, "I01", entry)
         rec = eval_identity("I01", {"t": 0.5}, 1e-9)
         assert rec.verdict == "fail" and rec.abs_err == rec.rel_err == math.inf

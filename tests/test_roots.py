@@ -35,6 +35,10 @@ def _cubic(m, nn):
 
 
 class TestResidual:
+    def test_degree_below_two(self):
+        with pytest.raises(DomainError, match="n >= 2"):
+            TrinomialInstance(1, 0.1)
+
     def test_trivials(self):
         assert residual(TrinomialInstance(2, 0.0), 0.0) == 0.0
         assert residual(TrinomialInstance(3, 0.0), 2.0) == 6.0

@@ -137,6 +137,19 @@ class TestHypPfq:
         with pytest.raises(DomainError):
             hyp2f1(0.5, 1, -2, 0.3)
 
+    @pytest.mark.parametrize("lower,z", [((1e-200, 1e-200), 0.5), ((0.5, 5e-324), 1)])
+    def test_lower_parameter_within_underflow_of_a_pole(self, lower, z):
+        # the product of the factors b + k underflows to 0
+        with pytest.raises(DomainError, match="underflow"):
+            hyp_pfq((), lower, z)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"rel_tol": 0.0}, {"rel_tol": 1.0}, {"max_terms": 0}, {"consecutive_small": 0}]
+    )
+    def test_invalid_control(self, kwargs):
+        with pytest.raises(DomainError):
+            SeriesControl(**kwargs)
+
     def test_terminating_series_any_argument(self):
         # upper parameter -3 makes the series a cubic polynomial
         v = hyp2f1(-3, 1.5, 2.5, 4.0)
