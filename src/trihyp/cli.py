@@ -7,7 +7,8 @@ flags or a JSON config file) and ``integrate`` (one-off semi-infinite
 quadratures).
 
 Exit codes: 0 all pass, 1 check failures, 2 usage error, 3 domain
-error, 4 I/O error.
+error, 4 I/O error.  Subcommands raise; :func:`main` alone turns an
+error into its ``error:`` line and exit code.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
 
+
+class _CliError(Exception):
+    """A bad command line or config file (exit 2, or ``code``); :func:`main`
+    prints it as the ``error:`` line."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi' / 'a-bi' / bare real / 'bi' (whitespace-free); a
     non-finite value (nan, inf) is a ValueError."""
@@ -64,6 +75,14 @@ def parse_complex(text: str) -> complex:
     if not cmath.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
+
+
+def _parse(convert, text, prefix: str = ""):
+    """``convert(text)``, with a ValueError turned into a usage error."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise _CliError(f"{prefix}{exc}") from None
 
 
 def format_value(z) -> str:
@@ -97,13 +116,9 @@ class SweepConfig(NamedTuple):
     output_path: str = "trihyp-report.json"
 
     def resolved_ids(self) -> list:
-        known = [d.id for d in list_identities()]
-        if not self.identity_ids:
-            return known
-        for cid in self.identity_ids:
-            if cid not in known:
-                raise DomainError(f"unknown check id {cid!r}")
-        return list(self.identity_ids)
+        """The ids to run; an unknown one raises DomainError when the sweep
+        looks it up."""
+        return list(self.identity_ids) or [d.id for d in list_identities()]
 
 
 class Report(NamedTuple):
@@ -116,19 +131,25 @@ class Report(NamedTuple):
 
 def _grid_param_values(name: str, spec) -> list:
     if isinstance(spec, dict):
-        lo, hi, count = spec["min"], spec["max"], int(spec["count"])
+        lo, hi, count = float(spec["min"]), float(spec["max"]), int(spec["count"])
         if count < 1:
             raise DomainError(f"grid for {name}: count must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"grid for {name}: non-finite range {lo}..{hi}")
         if count == 1:
-            return [float(lo)]
-        step = (float(hi) - float(lo)) / (count - 1)
-        return [float(lo) + k * step for k in range(count)]
+            return [lo]
+        step = (hi - lo) / (count - 1)
+        return [lo + k * step for k in range(count)]
     try:
         values = [parse_complex(v) if isinstance(v, str) else v for v in spec]
     except ValueError as exc:
         raise DomainError(f"grid for {name}: {exc}") from None
     if not values:
         raise DomainError(f"grid for {name}: empty value list")
+    for v in values:
+        for x in v if isinstance(v, list) else [v]:
+            if not cmath.isfinite(x):
+                raise DomainError(f"grid for {name}: non-finite number {x}")
     return values
 
 
@@ -328,11 +349,21 @@ def report_to_csv(report: Report) -> str:
 # library default so all 15 printed digits are trustworthy
 _CLI_CONTROL = sf.SeriesControl(rel_tol=5e-16, max_terms=100_000, consecutive_small=4)
 
+
+def _integer(x: complex, what: str) -> int:
+    """An ``eval`` argument that must be an integer; any other value is a
+    :class:`DomainError`."""
+    n = round(x.real)
+    if x.imag or n != x.real:
+        raise DomainError(f"{what} must be an integer, got {format_value(x)}")
+    return n
+
+
 _EVAL_REGISTRY = {
-    # name: (callable, number of arguments; -1 = variadic)
+    # name: (callable, number of arguments; -m: at least m)
     "gamma": (sf.gamma, 1),
     "rgamma": (sf.rgamma, 1),
-    "pochhammer": (lambda a, k: sf.pochhammer(a, int(k.real)), 2),
+    "pochhammer": (lambda a, k: sf.pochhammer(a, _integer(k, "pochhammer: k")), 2),
     "0f1": (lambda b, z: sf.hyp0f1(b, z, _CLI_CONTROL), 2),
     "1f1": (lambda a, b, z: sf.hyp1f1(a, b, z, _CLI_CONTROL), 3),
     "2f1": (lambda a, b, c, z: sf.hyp2f1(a, b, c, z, _CLI_CONTROL), 4),
@@ -347,11 +378,11 @@ _EVAL_REGISTRY = {
     "gamma_lower": (sf.lower_incomplete_gamma, 2),
     "beta_inc": (sf.incomplete_beta, 3),
     "legendre_p": (sf.legendre_p, 3),
-    "legendre_poly": (lambda n, x: sf.legendre_polynomial(int(n.real), x), 2),
+    "legendre_poly": (lambda n, x: sf.legendre_polynomial(_integer(n, "legendre_poly: n"), x), 2),
     "pcd": (sf.parabolic_cylinder_d, 2),
     "bell": (
-        lambda n, k, *xs: sf.bell_polynomial(int(n.real), int(k.real), xs),
-        -1,
+        lambda n, k, *xs: sf.bell_polynomial(_integer(n, "bell: n"), _integer(k, "bell: k"), xs),
+        -2,
     ),
 }
 
@@ -359,52 +390,31 @@ _EVAL_REGISTRY = {
 def _cmd_eval(args) -> int:
     name = args.function
     if name not in _EVAL_REGISTRY:
-        print(f"error: unknown function {name!r}; known: "
-              f"{', '.join(sorted(_EVAL_REGISTRY))}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _CliError(f"unknown function {name!r}; known: {', '.join(sorted(_EVAL_REGISTRY))}")
     fn, arity = _EVAL_REGISTRY[name]
-    try:
-        values = [parse_complex(a) for a in args.args]
-    except ValueError as exc:
-        print(f"error: bad numeric argument: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if arity >= 0 and len(values) != arity:
-        print(f"error: {name} takes {arity} arguments, got {len(values)}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        out = fn(*values)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    print(format_value(out))
+    values = [_parse(parse_complex, a, "bad numeric argument: ") for a in args.args]
+    if len(values) != arity and not 0 > arity >= -len(values):
+        wanted = arity if arity >= 0 else f"at least {-arity}"
+        raise _CliError(f"{name} takes {wanted} arguments, got {len(values)}")
+    print(format_value(fn(*values)))
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
-    try:
-        t = parse_complex(args.t)
-    except ValueError as exc:
-        print(f"error: bad t: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    n = args.n
-    try:
-        inst = TrinomialInstance(n, t)
-        series_value = None
-        if args.method in ("series", "both"):
-            series_value = root_hypergeometric(inst)
-            print(f"series root: {format_value(series_value)}  "
-                  f"residual = {residual(inst, series_value):.3e}")
-        if args.method in ("closed", "both"):
-            rs = trinomial_closed_roots(n, t)
-            for i, (root, res) in enumerate(zip(rs.roots, rs.residuals), start=1):
-                print(f"closed root {i}: {format_value(root)}  residual = {res:.3e}")
-            if series_value is not None:
-                dev = min(abs(r - series_value) for r in rs.roots)
-                print(f"series/closed deviation: {dev:.3e}")
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    n, t = args.n, _parse(parse_complex, args.t, "bad t: ")
+    inst = TrinomialInstance(n, t)
+    series_value = None
+    if args.method in ("series", "both"):
+        series_value = root_hypergeometric(inst)
+        print(f"series root: {format_value(series_value)}  "
+              f"residual = {residual(inst, series_value):.3e}")
+    if args.method in ("closed", "both"):
+        rs = trinomial_closed_roots(n, t)
+        for i, (root, res) in enumerate(zip(rs.roots, rs.residuals), start=1):
+            print(f"closed root {i}: {format_value(root)}  residual = {res:.3e}")
+        if series_value is not None:
+            dev = min(abs(r - series_value) for r in rs.roots)
+            print(f"series/closed deviation: {dev:.3e}")
     return EXIT_OK
 
 
@@ -412,34 +422,67 @@ def _parse_grid_tokens(tokens) -> dict:
     grid = {}
     for tok in tokens:
         if ":" not in tok:
-            raise ValueError(f"bad grid {tok!r}; expected name:min:max:count or name:v1,v2,...")
+            raise _CliError(f"bad grid {tok!r}; expected name:min:max:count or name:v1,v2,...")
         name, rest = tok.split(":", 1)
         if "," in rest or ":" not in rest:
             grid[name] = [v for v in rest.split(",") if v]
         else:
             parts = rest.split(":")
             if len(parts) != 3:
-                raise ValueError(f"bad grid {tok!r}")
-            grid[name] = {"min": float(parts[0]), "max": float(parts[1]),
-                          "count": int(parts[2])}
+                raise _CliError(f"bad grid {tok!r}")
+            grid[name] = {"min": _parse(float, parts[0]), "max": _parse(float, parts[1]),
+                          "count": _parse(int, parts[2])}
     return grid
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _CliError(str(exc)) from None
     if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise _CliError("config file must hold a JSON object")
     unknown = set(doc) - set(SweepConfig._fields)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise _CliError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+def _grid_spec_ok(spec) -> bool:
+    """{"min", "max", "count"} with numbers and an integer count, or a list
+    of numbers, number strings and lists of numbers (the values themselves
+    are checked when the sweep builds its points)."""
+    if isinstance(spec, dict):
+        return (set(spec) == {"min", "max", "count"} and type(spec["count"]) is int
+                and _is_number(spec["min"]) and _is_number(spec["max"]))
+    return isinstance(spec, list) and all(
+        _is_number(v) or isinstance(v, str) or isinstance(v, list) and all(map(_is_number, v))
+        for v in spec)
+
+
+# what each SweepConfig field of a command line must hold: (test, description)
+_CONFIG_RULES = {
+    "identity_ids": (lambda v: isinstance(v, (list, tuple)) and all(isinstance(c, str) for c in v),
+                     "a list of check ids"),
+    "grid": (lambda v: v is None or isinstance(v, dict) and all(map(_grid_spec_ok, v.values())),
+             "an object mapping each parameter to {min, max, count} or a list of values"),
+    "tolerance": (lambda v: v is None or _is_number(v) and 0 < v < math.inf,
+                  "a positive finite number"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "output_format": (lambda v: v in ("json", "csv"), "json or csv"),
+    "output_path": (lambda v: isinstance(v, str), "a string"),
+}
+
+
 def _build_config(args) -> SweepConfig:
-    base = {}
-    if args.config:
-        base = _load_config_file(args.config)
+    """The config file, then the flags over it; a malformed value is a usage
+    error."""
+    base = _load_config_file(args.config) if args.config else {}
     if args.ids is not None:
         base["identity_ids"] = [s for chunk in args.ids for s in chunk.split(",") if s]
     if args.grid:
@@ -452,37 +495,26 @@ def _build_config(args) -> SweepConfig:
         base["output_format"] = args.format
     if args.out is not None:
         base["output_path"] = args.out
-    if "identity_ids" in base:
-        base["identity_ids"] = tuple(base["identity_ids"])
-    if "seed" in base:
-        base["seed"] = int(base["seed"])
     cfg = SweepConfig(**base)
-    if cfg.tolerance is not None and not cfg.tolerance > 0:
-        raise ValueError("tolerance must be positive")
-    if cfg.output_format not in ("json", "csv"):
-        raise ValueError("output_format must be json or csv")
-    return cfg
+    for key, (ok, what) in _CONFIG_RULES.items():
+        if not ok(getattr(cfg, key)):
+            raise _CliError(f"{key} must be {what}, got {getattr(cfg, key)!r}")
+    known = {d.id for d in list_identities()}
+    for cid in cfg.identity_ids:
+        if cid not in known:
+            raise _CliError(f"unknown check id {cid!r}")
+    return cfg._replace(identity_ids=tuple(cfg.identity_ids))
 
 
 def _cmd_check(args) -> int:
-    try:
-        config = _build_config(args)
-        config.resolved_ids()  # unknown ids are a usage error
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = run_sweep(config, jobs=args.jobs)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    config = _build_config(args)
+    report = run_sweep(config, jobs=args.jobs)
     text = report_to_json(report) if config.output_format == "json" else report_to_csv(report)
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _CliError(f"cannot write report: {exc}", EXIT_IO) from None
     s = report.summary
     print(f"checks: total={s['total']} pass={s['pass']} fail={s['fail']} "
           f"skipped_domain={s['skipped_domain']} divergent_both={s['divergent_both']}")
@@ -501,50 +533,59 @@ _CUSTOM_ENV = {
 _INTEGRATE_FLAGS = ("n", "s", "p", "x")
 
 
-def _cmd_integrate(args) -> int:
-    tol = args.tol
+def _custom_integrand(expr: str):
+    """f(t) of a custom integrand.  A malformed expression, one naming
+    anything but t and the names of ``_CUSTOM_ENV``, or one that fails at a
+    node other than by overflow (such as log(0)) is a usage error."""
     try:
-        if args.integrand == "custom":
-            if not args.expr:
-                print("error: custom integration needs an expression", file=sys.stderr)
-                return EXIT_USAGE
-            code = compile(args.expr, "<integrand>", "eval")
+        code = compile(expr, "<integrand>", "eval")
+    except SyntaxError as exc:
+        raise _CliError(f"bad integrand: {exc}") from None
+    unknown = sorted(set(code.co_names) - set(_CUSTOM_ENV) - {"t"})
+    if unknown:
+        raise _CliError(f"bad integrand: unknown names {', '.join(unknown)}; "
+                        f"known: t, {', '.join(sorted(_CUSTOM_ENV))}")
 
-            def f(t):
-                try:
-                    return complex(eval(code, {"__builtins__": {}}, dict(_CUSTOM_ENV, t=t)))
-                except OverflowError:
-                    raise DomainError(f"integrand overflows at t = {t:.6g}") from None
+    def f(t):
+        try:
+            return complex(eval(code, {"__builtins__": {}}, dict(_CUSTOM_ENV, t=t)))
+        except OverflowError:
+            raise DomainError(f"integrand overflows at t = {t:.6g}") from None
+        except Exception as exc:
+            raise _CliError(str(exc)) from None
 
-            res = integrate_semi_infinite(f, tol, args.sigma, args.decay)
-            print(f"value = {format_value(res.value)}")
-            print(f"est_error = {res.est_error:.3e}  evaluations = {res.evaluations}")
-            return EXIT_OK
-        integrals = {d.id: d for d in list_identities() if d.quadrature}
-        if args.integrand not in integrals:
-            print(f"error: unknown integrand {args.integrand!r}", file=sys.stderr)
-            return EXIT_USAGE
-        desc = integrals[args.integrand]
-        unflagged = [spec.name for spec in desc.params if spec.name not in _INTEGRATE_FLAGS]
-        if unflagged:
-            print(f"error: integrate has no flag for the {desc.id} parameters "
-                  f"{', '.join(unflagged)}; run `trihyp check --ids {desc.id}` "
-                  f"(default grid) or add `--config FILE` for chosen points",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        params = {key: parse_complex(getattr(args, key)) for key in _INTEGRATE_FLAGS
-                  if getattr(args, key) is not None}
-        for spec in desc.params:
-            if spec.name not in params:
-                print(f"error: missing parameter --{spec.name}", file=sys.stderr)
-                return EXIT_USAGE
-        rec = check_point(args.integrand, params, tol)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return f
+
+
+def _cmd_integrate(args) -> int:
+    # argparse's float takes inf and nan
+    for flag in ("tol", "sigma", "decay"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise _CliError(f"--{flag}: non-finite number {value}")
+    if args.integrand == "custom":
+        if not args.expr:
+            raise _CliError("custom integration needs an expression")
+        res = integrate_semi_infinite(_custom_integrand(args.expr), args.tol,
+                                      args.sigma, args.decay)
+        print(f"value = {format_value(res.value)}")
+        print(f"est_error = {res.est_error:.3e}  evaluations = {res.evaluations}")
+        return EXIT_OK
+    integrals = {d.id: d for d in list_identities() if d.quadrature}
+    if args.integrand not in integrals:
+        raise _CliError(f"unknown integrand {args.integrand!r}")
+    desc = integrals[args.integrand]
+    unflagged = [spec.name for spec in desc.params if spec.name not in _INTEGRATE_FLAGS]
+    if unflagged:
+        raise _CliError(f"integrate has no flag for the {desc.id} parameters "
+                        f"{', '.join(unflagged)}; run `trihyp check --ids {desc.id}` "
+                        f"(default grid) or add `--config FILE` for chosen points")
+    params = {key: _parse(parse_complex, getattr(args, key)) for key in _INTEGRATE_FLAGS
+              if getattr(args, key) is not None}
+    for spec in desc.params:
+        if spec.name not in params:
+            raise _CliError(f"missing parameter --{spec.name}")
+    rec = check_point(args.integrand, params, args.tol)
     # a side without a value diverged, or its series or quadrature did not converge
     for label, v in (("quadrature ", rec.lhs_value), ("closed form", rec.rhs_value)):
         print(f"{label} = {'none' if v is None else format_value(v)}")
@@ -608,11 +649,12 @@ def main(argv=None) -> int:
         # copies its pages and the exit collection skips it
         gc.freeze()
     args = build_parser().parse_args(argv)
+    # the one place an error becomes its message and exit code
     try:
         return args.fn(args)
-    except TrihypError as exc:
+    except (_CliError, TrihypError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return exc.code if isinstance(exc, _CliError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

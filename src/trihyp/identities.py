@@ -106,7 +106,8 @@ class CheckRecord(NamedTuple):
 
 
 def _binomial_tail(c, k0: int, u) -> complex:
-    """sum_{k >= k0} (c)_k u^k / k!  by term recurrence (needs |u| < 1)."""
+    """sum_{k >= k0} (c)_k u^k / k!  by term recurrence (needs |u| < 1);
+    a sum not converged in 4000 terms raises :class:`BudgetError`."""
     c, u = complex(c), complex(u)
     term = pochhammer(c, k0) / _FACT(k0) * u**k0
     total = term
@@ -116,8 +117,8 @@ def _binomial_tail(c, k0: int, u) -> complex:
         total += term
         k += 1
         if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            break
-    return total
+            return total
+    raise BudgetError(f"binomial tail did not converge in {k - k0} terms", best=total)
 
 
 _TAIL_CUT = 0.8  # switch to the tail rewrite while the binomial variable is this small
@@ -873,21 +874,26 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
         raise DomainError(f"unknown identity id {identity_id!r}") from None
 
 
+_NUMBER = (int, float, complex)
+
+
 def _coerce_params(desc: IdentityDescriptor, params: Mapping) -> dict:
     out = {}
     for spec in desc.params:
         if spec.name not in params:
             raise DomainError(f"{desc.id}: missing parameter {spec.name!r}")
         v = params[spec.name]
-        if spec.kind == "int":
-            iv = int(round(v.real if isinstance(v, complex) else v))
+        if spec.kind == "complex_tuple":
+            if not (isinstance(v, (tuple, list)) and all(isinstance(x, _NUMBER) for x in v)):
+                raise DomainError(f"{desc.id}: parameter {spec.name} must be a list of numbers")
+            out[spec.name] = tuple(complex(x) for x in v)
+        elif not isinstance(v, _NUMBER):
+            raise DomainError(f"{desc.id}: parameter {spec.name} must be a number")
+        elif spec.kind == "int":
+            iv = round(v.real) if cmath.isfinite(v) else None
             if iv != v:
                 raise DomainError(f"{desc.id}: parameter {spec.name} must be an integer")
             out[spec.name] = iv
-        elif spec.kind == "complex_tuple":
-            if not isinstance(v, (tuple, list)):
-                raise DomainError(f"{desc.id}: parameter {spec.name} must be a list of numbers")
-            out[spec.name] = tuple(complex(x) for x in v)
         else:
             out[spec.name] = complex(v)
     extra = set(params) - {p.name for p in desc.params}

@@ -183,13 +183,6 @@ class SeriesResult(NamedTuple):
 _DEFAULT_CONTROL = SeriesControl()
 
 
-def _unconverged(upper, lower, partial: SeriesResult) -> BudgetError:
-    return BudgetError(
-        f"{len(upper)}F{len(lower)} series did not converge in {partial.terms_used} terms",
-        best=partial,
-    )
-
-
 def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
     """Raw term-recurrence summation of sum_k t_k with
     t_{k+1} = t_k * prod(a+k)/prod(b+k) * z/(k+1).
@@ -228,7 +221,10 @@ def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
             f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
             f"underflow to 0 at term {k + 1} (a lower parameter within underflow of a pole)"
         ) from None
-    raise _unconverged(upper, lower, SeriesResult(total, k - start_k, False, abs(term)))
+    raise BudgetError(
+        f"{len(upper)}F{len(lower)} series did not converge in {k - start_k} terms",
+        best=SeriesResult(total, k - start_k, False, abs(term)),
+    )
 
 
 def gauss_sum_2f1(a, b, c) -> complex:
@@ -285,7 +281,9 @@ def _match_whipple(upper, lower):
 
 
 def _pfq_at_unit_argument(upper, lower, ctrl):
-    """Evaluate pFq(...; 1) for p = q+1 without the raw series."""
+    """pFq(...; 1) for p = q+1: the terminating sum, the Gauss or Whipple
+    formula, or, where Re(sum b - sum a) exceeds 2, the direct sum with its
+    integral-comparison tail as ``est_error``."""
     if any(is_nonpositive_integer(a) for a in upper):
         # terminating series: sum directly, it is exact
         return _sum_series(upper, lower, 1.0 + 0.0j, ctrl)
@@ -301,13 +299,12 @@ def _pfq_at_unit_argument(upper, lower, ctrl):
     if margin <= 0:
         raise DivergenceError("pFq at z=1 diverges: Re(sum b - sum a) <= 0")
     if margin > 2.0:
-        # convergent like k^(-1-margin): direct summation with an
-        # integral-comparison tail estimate
-        res = _sum_series(upper, lower, 1.0 + 0.0j, ctrl)
-        tail = res.est_error * res.terms_used / (margin - 1.0)
-        if tail > ctrl.rel_tol * max(1.0, abs(res.value)):
-            raise _unconverged(upper, lower, SeriesResult(res.value, res.terms_used, False, tail))
-        return SeriesResult(res.value, res.terms_used, True, tail)
+        # convergent like k^(-1-margin), so the tail after N terms is about
+        # |t_N| N / (margin - 1): stopping at |t_N| <= rel_tol (margin - 1)
+        # / max_terms keeps it within rel_tol for every N the budget allows
+        fine = ctrl._replace(rel_tol=ctrl.rel_tol * (margin - 1.0) / ctrl.max_terms)
+        res = _sum_series(upper, lower, 1.0 + 0.0j, fine)
+        return res._replace(est_error=res.est_error * res.terms_used / (margin - 1.0))
     raise DomainError(
         "pFq at z=1: no summation formula applies and the series "
         "converges too slowly to evaluate"

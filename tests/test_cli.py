@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -98,6 +99,37 @@ class TestEvalCommand:
         assert main(["eval", "3f2", "1", "1", "1", "1e-200", "1e-200", "0.5"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "underflow" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pochhammer", "0.5", "2.7"],
+            ["pochhammer", "0.5", "2+1i"],
+            ["legendre_poly", "2.9", "0.5"],
+            ["bell", "3.5", "2", "1", "1"],
+            ["bell", "3", "2i", "1", "1"],
+        ],
+    )
+    def test_non_integer_argument(self, args, capsys):
+        assert main(["eval", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be an integer" in captured.err
+
+    def test_too_few_variadic_arguments(self, capsys):
+        assert main(["eval", "bell", "3"]) == 2
+        assert capsys.readouterr().err == "error: bell takes at least 2 arguments, got 1\n"
+
+    @pytest.mark.parametrize(
+        "args,printed",
+        [
+            (["pochhammer", "0.5", "2"], "0.75"),
+            (["legendre_poly", "2", "0.5"], "-0.125"),
+            (["bell", "3", "2", "1", "1"], "3"),
+        ],
+    )
+    def test_integer_argument(self, args, printed, capsys):
+        assert main(["eval", *args]) == 0
+        assert capsys.readouterr().out.strip() == printed
 
     @pytest.mark.parametrize(
         "args,printed",
@@ -231,6 +263,27 @@ class TestCheckCommand:
         assert sorted(i for s in shards for i in s) == list(range(count))
 
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"identity_ids": "I01"}, "identity_ids must be a list of check ids"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"output_path": 5}, "output_path must be a string"),
+            ({"tolerance": True}, "tolerance must be a positive finite number"),
+            ({"grid": {"t": [None]}}, "grid must be an object mapping each parameter"),
+            ({"grid": {"t": {"min": "a", "max": 1, "count": 2}}}, "grid must be an object"),
+        ],
+    )
+    def test_malformed_config_value(self, doc, message, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"identity_ids": ["I01"], "output_path": str(out), **doc}))
+        assert main(["check", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert not out.exists()
+
+
 class TestCheckGrids:
     def test_default_tolerances_and_grid_sizes(self):
         identity_ids = [f"I{k:02d}" for k in range(1, 19)] + ["K01", "K02"]
@@ -265,6 +318,21 @@ class TestCheckGrids:
         out = tmp_path / "r.json"
         assert main(["check", "--ids", "J1", "--grid", "s:nan", "--out", str(out)]) == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [["--grid", "t:nan:1:2"], ["--grid", "t:0:1e400:2"]])
+    def test_non_finite_grid_range(self, grid, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "I01", *grid, "--out", str(out)]) == 3
+        assert "non-finite range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_list_parameter_entry(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"identity_ids": ["J0"], "grid": {"a": [[math.inf]]},
+                                   "output_path": str(out)}))
+        assert main(["check", "--config", str(cfg)]) == 3
+        assert "grid for a: non-finite number inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evaluator_range_is_skipped(self, tmp_path):
@@ -346,6 +414,20 @@ class TestIntegrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: integrand overflows") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "expr,message",
+        [
+            ("t.real", "error: bad integrand: unknown names real; known: t, abs,"),
+            ("1/(t-t)", "error: float division by zero"),
+            ("(lambda: foo)()", "error: name 'foo' is not defined"),
+        ],
+    )
+    def test_custom_expression_errors(self, expr, message, capsys):
+        assert main(["integrate", "custom", expr]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(message)
+
     def test_hypothesis_violation(self, capsys):
         assert main(["integrate", "J3", "--p", "0.4", "--x", "1"]) == 3
 
@@ -385,3 +467,48 @@ def test_import_leaves_out_the_pool_and_dataclass_machinery():
     assert "trihyp.cli" in added
     heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect", "fractions")
     assert [m for m in heavy if m in added] == []
+
+
+# command line, config file (None: none) and exit code; a config file also
+# names I01 and writes to r.json
+_EXIT_TABLE = [
+    (["check", "--ids", "I06", "--tol", "inf"], None, 2),
+    (["integrate", "J1", "--n", "0", "--s", "2", "--x", "1", "--tol", "inf"], None, 2),
+    (["integrate", "custom", "exp(-t)", "--decay", "nan"], None, 2),
+    (["integrate", "custom", "exp(-t"], None, 2),
+    (["integrate", "custom", "foo(t)"], None, 2),
+    (["integrate", "custom", "log(0*t)"], None, 2),
+    (["check", "--config"], {"tolerance": "x"}, 2),
+    (["check", "--config"], {"tolerance": math.inf}, 2),
+    (["check", "--config"], {"grid": 5}, 2),
+    (["check", "--config"], {"grid": {"t": {"min": 0, "max": 1}}}, 2),
+    (["check", "--config"], {"grid": {"t": "0.5"}}, 2),
+    (["eval", "pochhammer", "0.5", "2.7"], None, 3),
+    (["eval", "legendre_poly", "2.9", "0.5"], None, 3),
+    (["eval", "gamma", "200"], None, 3),
+    (["check", "--ids", "NOPE"], None, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,code", _EXIT_TABLE,
+    ids=[" ".join(argv) + ("" if cfg is None else f" {json.dumps(cfg)}") for argv, cfg, _ in _EXIT_TABLE],
+)
+def test_exit_code_table(argv, config, code, tmp_path):
+    # a subprocess, because only the process shows the exit status of an
+    # exception that escapes main
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({"identity_ids": ["I01"], "output_path": "r.json", **config}))
+        argv = [*argv, "cfg.json"]
+    elif argv[0] == "check":
+        argv = [*argv, "--out", "r.json"]
+    src = str(Path(trihyp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "trihyp.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()

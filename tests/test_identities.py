@@ -88,6 +88,36 @@ class TestEvalIdentity:
         with pytest.raises(DomainError):
             eval_identity("I01", {"t": 0.2}, -1.0)
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"n": 0, "s": 2, "x": [1, 2]}, "x must be a number"),
+            ({"n": [1], "s": 2, "x": 1}, "n must be a number"),
+            ({"n": math.inf, "s": 2, "x": 1}, "n must be an integer"),
+        ],
+    )
+    def test_malformed_param_is_a_domain_error(self, params, message):
+        # a value of the wrong shape raises DomainError, not TypeError or OverflowError
+        with pytest.raises(DomainError, match=message):
+            eval_identity("J1", params, 1e-6)
+
+    def test_malformed_tuple_param_is_a_domain_error(self):
+        params = {"a": (1, None), "b": (2,), "alpha": 1, "s": 2, "x": 0.5}
+        with pytest.raises(DomainError, match="a must be a list of numbers"):
+            eval_identity("J0", params, 1e-7)
+
+
+class TestBinomialTail:
+    def test_converged_sum(self):
+        # sum_{k >= 1} (1/2)_k u^k / k! = (1 - u)^(-1/2) - 1
+        assert rel(identities._binomial_tail(0.5, 1, 0.5), 2.0**0.5 - 1.0) < 1e-15
+
+    def test_budget_raises(self):
+        # near u = 1 the terms fall like k^(-1/2) u^k: 4000 terms reach 61.9 of the 99.0
+        with pytest.raises(BudgetError, match="did not converge in 4000 terms") as err:
+            identities._binomial_tail(0.5, 1, 0.9999)
+        assert abs(err.value.best - 61.9) < 0.1
+
 
 class TestCheckGrid:
     def test_disc_sweep(self):

@@ -187,6 +187,21 @@ class TestHypPfq:
             hyp_pfq((1, 1, 1), (2, 4), 1.0, SeriesControl(max_terms=30))
         assert not err.value.best.converged
 
+    @pytest.mark.parametrize(
+        "upper,lower",
+        [((0.5, 0.5, 0.5), (3, 3)), ((0.3, 0.7, 1.1), (2.5, 3.1)), ((1, 1, 1, 1), (3, 3, 3))],
+    )
+    def test_unit_argument_direct_sum_vs_mpmath(self, upper, lower):
+        # margin > 2 without a summation formula: the direct sum stops early
+        # enough that its integral-comparison tail is within rel_tol
+        mpmath = pytest.importorskip("mpmath")
+        res = hyp_pfq(upper, lower, 1.0)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyper(upper, lower, 1))
+        assert res.converged and res.terms_used > 0
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert res.est_error <= 1e-13 * abs(ref)
+
     def test_gauss_summation_check(self):
         # routing at z = 1 against the gamma-ratio formula written out here
         rng = Random(101)
