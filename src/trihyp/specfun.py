@@ -7,14 +7,20 @@ degree and order, parabolic cylinder functions, and partial Bell
 polynomials.  All fractional powers and inverse trigonometric functions
 use principal branches throughout.
 
-The universal numeric carrier is the built-in ``complex``; real inputs
-are accepted anywhere and promoted.
+Every function takes and returns the built-in ``complex``; real inputs
+are accepted anywhere and promoted.  Inside, the series loop carries a
+``float`` while every operand is real (the same bits as ``complex``
+arithmetic on them, at about half the cost) and a ``complex`` otherwise.
+Its term ratios are kept per parameter pair in a table of bounded size
+that every call shares; each ratio is computed from the parameters and
+its index alone, so no value depends on the table's state.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, DivergenceError, DomainError
@@ -90,7 +96,7 @@ def gamma(z) -> complex:
     the exponent).  :class:`DomainError` is raised at a pole, for a
     non-finite ``z`` and where the value or an intermediate overflows
     (real z above about 171.6, below about -170.6 through the
-    reflection).
+    reflection, and within about 5.6e-309 of 0).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -100,7 +106,10 @@ def gamma(z) -> complex:
     try:
         if z.real < 0.5:
             # gamma(z) * gamma(1-z) = pi / sin(pi z)
-            return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            value = math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            if not cmath.isfinite(value):  # near 0, where gamma(z) ~ 1/z
+                raise OverflowError
+            return value
         x = z - 1.0
         acc = _LANCZOS_C[0]
         for k in range(1, len(_LANCZOS_C)):
@@ -121,21 +130,41 @@ def gamma(z) -> complex:
 
 
 def rgamma(z) -> complex:
-    """Reciprocal gamma, entire: returns exactly 0 at the poles of gamma."""
+    """Reciprocal gamma, entire: returns exactly 0 at the poles of gamma,
+    and 0 where gamma overflows at Re z >= 1/2.  :class:`DomainError` is
+    raised for a non-finite ``z`` and where 1/gamma itself overflows (real
+    z below about -170.6)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma(z)
+    try:
+        return 1.0 / gamma(z)
+    except DomainError:
+        if cmath.isfinite(z) and z.real >= 0.5:
+            return 0.0 + 0.0j  # below the double range
+        if abs(z) < 1e-300:
+            return z  # 1/gamma(z) = z (1 + 0.577 z + ...) where gamma(z) ~ 1/z overflows
+        raise
 
 
 def pochhammer(a, k: int) -> complex:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
+
+    Exactly 0 once a factor is 0 (where a is a nonpositive integer above -k);
+    :class:`DomainError` once the product leaves the double range, which
+    bounds the work for any k.
+    """
     if k < 0:
         raise DomainError("pochhammer needs k >= 0")
     a = complex(a)
+    if a.real <= 0.0 and is_nonpositive_integer(a) and a.real > -k:
+        return 0.0 + 0.0j
     out = 1.0 + 0.0j
-    for j in range(k):
-        out *= a + j
+    for block in range(0, k, 256):  # a range test per block, not per factor
+        for j in range(block, min(k, block + 256)):
+            out *= a + j
+        if not cmath.isfinite(out):
+            raise DomainError(f"pochhammer({a}, {k}) overflows")
     return out
 
 
@@ -183,48 +212,148 @@ class SeriesResult(NamedTuple):
 _DEFAULT_CONTROL = SeriesControl()
 
 
-def _sum_series(upper, lower, z, ctrl, start_term=None, start_k=0):
-    """Raw term-recurrence summation of sum_k t_k with
-    t_{k+1} = t_k * prod(a+k)/prod(b+k) * z/(k+1).
+def _narrow(v):
+    """``v`` as a float when its imaginary part is 0, so that real operands
+    take float arithmetic (the same bits as complex arithmetic on them)."""
+    return v.real if v.imag == 0.0 else v
 
-    ``start_term``/``start_k`` let the regularized evaluator begin past
-    lower-parameter poles.  No convergence prechecks happen here; a sum
-    that misses the stop rule within the term budget raises
-    :class:`BudgetError` with the partial sum as ``best``, and a product
-    of lower-parameter factors that underflows to 0 (a lower parameter
-    within underflow of a pole) raises :class:`DomainError`.
+
+class _Series:
+    """One (upper, lower) parameter pair as callers give it: the parameters
+    as complex numbers, the facts the route choice reads, and the table of
+    term ratios r_k = prod(a+k) / ((k+1) prod(b+k)) from ``start_k`` on,
+    grown as sums need it."""
+
+    __slots__ = ("upper", "lower", "poles", "terminating", "start_k", "ratios")
+
+    def __init__(self, upper, lower):
+        self.upper = tuple(complex(a) for a in upper)
+        self.lower = tuple(complex(b) for b in lower)
+        self.poles = [b for b in self.lower if is_nonpositive_integer(b)]
+        # a terminating upper parameter makes a polynomial, fine for any z
+        self.terminating = any(is_nonpositive_integer(a) for a in self.upper)
+        # the first index past every lower-parameter pole
+        self.start_k = 1 - int(min(b.real for b in self.poles)) if self.poles else 0
+        self.ratios = []
+
+    def ratios_for(self, stop):
+        """The ratio table, grown to hold at least the ratios of the first
+        ``stop`` terms (fewer where the lower-parameter factors underflow
+        to 0).  A grown table is a new list, so a sum never sees its table
+        change under it."""
+        have = len(self.ratios)
+        if have < stop:
+            upper, lower = self.upper, self.lower
+            if all(v.imag == 0.0 for v in upper + lower):
+                upper, lower = tuple(a.real for a in upper), tuple(b.real for b in lower)
+            fresh = []
+            try:
+                for j in range(self.start_k + have, self.start_k + stop):
+                    num = 1.0
+                    for a in upper:
+                        num *= a + j
+                    den = j + 1.0
+                    for b in lower:
+                        den *= b + j
+                    fresh.append(num / den)
+            except ZeroDivisionError:
+                pass
+            self.ratios = self.ratios + fresh
+            _hold(len(fresh))
+        return self.ratios
+
+
+# Every _Series made, by its (upper, lower) as given, and the size they hold
+# counted in ratios, an entry's own memory as _ENTRY_SIZE of them.  Each
+# ratio is computed from the parameters and its index alone, so no result
+# depends on what is held.
+_SERIES_LIMIT = 1 << 17  # above the CLI's 100 000-term budget; ~5 MB when full
+_ENTRY_SIZE = 16
+_series_cache: dict = {}
+_series_held = 0
+
+
+def _hold(count):
+    global _series_held
+    _series_held += count
+    if _series_held > _SERIES_LIMIT:  # full: start over
+        _series_cache.clear()
+        _series_held = 0
+
+
+def _series(upper, lower) -> _Series:
+    key = (tuple(upper), tuple(lower))
+    entry = _series_cache.get(key)
+    if entry is None:
+        entry = _series_cache[key] = _Series(*key)
+        _hold(_ENTRY_SIZE)
+    return entry
+
+
+_OUT_OF_RANGE = ": its terms leave the double range"
+
+
+def _unconverged(upper, lower, terms, total, term, why=""):
+    """The BudgetError of a sum stopped after ``terms`` terms, with the
+    partial sum as ``best``."""
+    try:
+        est = abs(term)
+    except OverflowError:
+        est = math.inf
+    return BudgetError(
+        f"{len(upper)}F{len(lower)} series did not converge in {terms} terms{why}",
+        best=SeriesResult(complex(total), terms, False, est),
+    )
+
+
+def _sum_series(upper, lower, z, ctrl, start_term=None):
+    """Raw term-recurrence summation of sum_k t_k with t_{k+1} = t_k r_k z,
+    r_k = prod(a+k) / ((k+1) prod(b+k)), the ratios taken from the table
+    of (upper, lower) that every call shares.
+
+    The loop runs on floats while every operand is real and on complex
+    numbers otherwise.  The sum starts at k = 0 with t_0 = 1, or, where a
+    lower parameter is a nonpositive integer, past every such pole at the
+    ``start_term`` the regularized evaluator gives.  No convergence
+    prechecks happen here; a sum that misses the stop rule within the
+    term budget or leaves the double range raises :class:`BudgetError`
+    with the partial sum as ``best``, and a product of lower-parameter
+    factors that underflows to 0 (a lower parameter within underflow of
+    a pole) raises :class:`DomainError`.
     """
-    term = 1.0 + 0.0j if start_term is None else complex(start_term)
+    series = _series(upper, lower)
+    term = 1.0 if start_term is None else _narrow(start_term)
+    z = _narrow(z)
     total = term
     small = 0
-    k = start_k
-    rel_tol, needed = ctrl.rel_tol, ctrl.consecutive_small  # read once, not per term
+    n = 0  # terms summed
+    rel_tol, needed, budget = ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
     try:
-        for _ in range(ctrl.max_terms):
-            num = z / (k + 1.0)
-            for a in upper:
-                num *= a + k
-            den = 1.0 + 0.0j
-            for b in lower:
-                den *= b + k
-            term = term * num / den
-            total += term
-            k += 1
-            if abs(term) <= rel_tol * abs(total):
-                small += 1
-                if small >= needed:
-                    return SeriesResult(total, k - start_k, True, abs(term))
-            else:
-                small = 0
-    except ZeroDivisionError:
-        raise DomainError(
-            f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
-            f"underflow to 0 at term {k + 1} (a lower parameter within underflow of a pole)"
-        ) from None
-    raise BudgetError(
-        f"{len(upper)}F{len(lower)} series did not converge in {k - start_k} terms",
-        best=SeriesResult(total, k - start_k, False, abs(term)),
-    )
+        while n < budget:
+            ratios = series.ratios_for(min(budget, 2 * n + 16))
+            if len(ratios) <= n:
+                raise DomainError(
+                    f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
+                    f"underflow to 0 at term {series.start_k + n + 1} "
+                    "(a lower parameter within underflow of a pole)"
+                )
+            for r in islice(ratios, n, budget):
+                term = term * r * z
+                total += term
+                n += 1
+                if abs(term) <= rel_tol * abs(total):
+                    small += 1
+                    if small >= needed:
+                        break
+                else:
+                    small = 0
+            if not cmath.isfinite(total):  # an infinite sum meets the stop rule too
+                raise _unconverged(upper, lower, n, total, term, _OUT_OF_RANGE)
+            if small >= needed:
+                return SeriesResult(complex(total), n, True, abs(term))
+    except OverflowError:  # abs() of a complex term past the double range
+        raise _unconverged(upper, lower, n, total, term, _OUT_OF_RANGE) from None
+    raise _unconverged(upper, lower, n, total, term)
 
 
 def gauss_sum_2f1(a, b, c) -> complex:
@@ -281,12 +410,9 @@ def _match_whipple(upper, lower):
 
 
 def _pfq_at_unit_argument(upper, lower, ctrl):
-    """pFq(...; 1) for p = q+1: the terminating sum, the Gauss or Whipple
-    formula, or, where Re(sum b - sum a) exceeds 2, the direct sum with its
-    integral-comparison tail as ``est_error``."""
-    if any(is_nonpositive_integer(a) for a in upper):
-        # terminating series: sum directly, it is exact
-        return _sum_series(upper, lower, 1.0 + 0.0j, ctrl)
+    """pFq(...; 1) for a non-terminating p = q+1 series: the Gauss or
+    Whipple formula, or, where Re(sum b - sum a) exceeds 2, the direct sum
+    with its integral-comparison tail as ``est_error``."""
     margin = sum(b.real for b in lower) - sum(a.real for a in upper)
     if len(upper) == 2:
         v = gauss_sum_2f1(upper[0], upper[1], lower[0])
@@ -316,17 +442,14 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
     :func:`hyp_pfq_regularized`: z = 0, the regularized start past the
     lower-parameter poles, unit argument, or the direct series."""
     ctrl = control or _DEFAULT_CONTROL
-    upper = tuple(complex(a) for a in upper)
-    lower = tuple(complex(b) for b in lower)
+    series = _series(upper, lower)
+    upper, lower, poles, terminating = series.upper, series.lower, series.poles, series.terminating
     z = complex(z)
-    poles = [b for b in lower if is_nonpositive_integer(b)]
     if poles and not regularized:
         raise DomainError(
             f"lower parameter {poles[0]} is a nonpositive integer; "
             "use the regularized series"
         )
-    # a terminating upper parameter makes a polynomial, fine for any z
-    terminating = any(is_nonpositive_integer(a) for a in upper)
     p, q = len(upper), len(lower)
     if z != 0 and not terminating and p > q:
         if p > q + 1:
@@ -343,7 +466,7 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
                 "is unsupported at z = 1"
             )
         # start the sum at k0, the first index past every lower-parameter pole
-        k0 = 1 - int(min(b.real for b in poles))
+        k0 = series.start_k
         term = 1.0 + 0.0j
         for a in upper:
             term *= pochhammer(a, k0)
@@ -354,7 +477,7 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
         for b in lower:
             term *= rgamma(b + k0)
         term *= z**k0 / math.factorial(k0)
-        return _sum_series(upper, lower, z, ctrl, start_term=term, start_k=k0)
+        return _sum_series(upper, lower, z, ctrl, start_term=term)
     scale = 1.0 + 0.0j
     if regularized:
         for b in lower:

@@ -82,6 +82,31 @@ class TestEvalCommand:
         assert main(["eval", "gamma", "200"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    def test_gamma_overflow_near_zero(self, capsys):
+        assert main(["eval", "gamma", "1e-320"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "gamma overflows" in captured.err
+
+    def test_reciprocal_gamma_below_the_double_range(self, capsys):
+        assert main(["eval", "rgamma", "1e6"]) == 0
+        assert capsys.readouterr().out.strip() == "0"
+
+    def test_reciprocal_gamma_overflow(self, capsys):
+        assert main(["eval", "rgamma", "-200.5"]) == 3
+        assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,code,printed", [
+        (["pochhammer", "0.5", "1e12"], 3, ""),
+        (["pochhammer", "-3", "1e12"], 0, "0"),
+    ])
+    def test_pochhammer_with_a_huge_k_returns(self, args, code, printed, capsys):
+        # the product overflows, or meets its factor 0, long before k factors
+        assert main(["eval", *args]) == code
+        captured = capsys.readouterr()
+        assert captured.out.strip() == printed
+        if code:
+            assert "overflows" in captured.err
+
     def test_non_finite_argument(self, capsys):
         assert main(["eval", "gamma", "nan"]) == 2
         captured = capsys.readouterr()

@@ -58,6 +58,17 @@ class TestPochhammer:
     def test_recurrence_exact_dyadic(self, x, k):
         assert pochhammer(x, k + 1) == x * pochhammer(x + 1, k)
 
+    @pytest.mark.parametrize("a", [-3, 0, -300, complex(-7, 0)])
+    def test_zero_past_a_nonpositive_integer_for_any_k(self, a):
+        # the product meets the factor 0; -300 would overflow first
+        assert pochhammer(a, 10**12) == 0
+        assert pochhammer(a, 400) == 0
+
+    @pytest.mark.parametrize("a,k", [(0.5, 10**12), (0.5 + 2j, 10**9), (1e300, 3), (-1e6 + 0.5, 10**7)])
+    def test_overflow_is_domain_error(self, a, k):
+        with pytest.raises(DomainError, match="pochhammer.*overflows"):
+            pochhammer(a, k)
+
 
 class TestGamma:
     def test_sqrt_pi(self):
@@ -100,6 +111,31 @@ class TestGamma:
     def test_non_finite_argument(self, z):
         with pytest.raises(DomainError, match="finite"):
             gamma(z)
+
+    @pytest.mark.parametrize("z", [1e-320, 5e-324, -1e-320, 1e-310j])
+    def test_overflow_near_zero_is_domain_error(self, z):
+        # gamma(z) ~ 1/z leaves the double range through the reflection
+        with pytest.raises(DomainError, match="gamma overflows"):
+            gamma(z)
+
+    @pytest.mark.parametrize("z", [1e6, 200, 172, 1e6 + 5j])
+    def test_reciprocal_underflows_to_zero(self, z):
+        assert rgamma(z) == 0
+
+    @pytest.mark.parametrize("z", [1e-320, -1e-320, 5e-324, 1e-310j])
+    def test_reciprocal_near_zero(self, z):
+        # 1/gamma(z) = z (1 + 0.577 z + ...), where gamma(z) itself overflows
+        assert rgamma(z) == z
+
+    def test_reciprocal_overflow_is_domain_error(self):
+        # 1/gamma(-200.5) = sin(-200.5 pi) gamma(201.5) / pi is beyond the double range
+        with pytest.raises(DomainError, match="overflows"):
+            rgamma(-200.5)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_reciprocal_non_finite_argument(self, z):
+        with pytest.raises(DomainError, match="finite"):
+            rgamma(z)
 
 
 class TestHypPfq:
