@@ -11,12 +11,11 @@ numerically validated branch region or the integral's hypotheses, a
 deterministic sampler for that domain, and its default tolerance and
 grid size.
 
-Several printed elementary forms contain a bracket of the shape
-``1 - (truncated binomial series)`` whose value shrinks like t^(n+1);
-evaluating them literally at small |t| cancels catastrophically.  For
-those entries the bracket is rewritten as the exact tail of the
-binomial series (a finite-ratio term recurrence), which is used for
-small |t| and agrees with the printed form elsewhere.
+Several printed elementary forms (I02-I05, I07-I10, and the J1/J2 closed
+forms of :mod:`trihyp.quad`) hold a bracket ``1 - (truncated binomial
+series)`` that shrinks like t^(n+1), so evaluated literally it cancels
+catastrophically at small |t|.  Every such bracket goes through the one
+helper :func:`trihyp.specfun.binomial_remainder`.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 from .errors import BudgetError, DivergenceError, DomainError
 from .specfun import (
     bell_polynomial,
+    binomial_remainder,
     hyp1f1,
     hyp2f1,
     hyp3f2,
@@ -39,6 +39,7 @@ from .specfun import (
     lower_incomplete_gamma,
     pochhammer,
 )
+from .specfun import _binomial_tail  # noqa: F401  (keeps its former import path)
 from . import quad
 from .roots import g_function
 
@@ -105,37 +106,14 @@ class CheckRecord(NamedTuple):
 # --------------------------------------------------------------------------
 
 
-def _binomial_tail(c, k0: int, u) -> complex:
-    """sum_{k >= k0} (c)_k u^k / k!  by term recurrence (needs |u| < 1);
-    a sum not converged in 4000 terms raises :class:`BudgetError`."""
-    c, u = complex(c), complex(u)
-    term = pochhammer(c, k0) / _FACT(k0) * u**k0
-    total = term
-    k = k0
-    for _ in range(4000):
-        term *= (c + k) * u / (k + 1)
-        total += term
-        k += 1
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            return total
-    raise BudgetError(f"binomial tail did not converge in {k - k0} terms", best=total)
-
-
-_TAIL_CUT = 0.8  # switch to the tail rewrite while the binomial variable is this small
-
-
 def _half_bracket(n: int, t) -> complex:
     """[1 - sqrt(1-t) sum_{k<=n} (-1/2)_k/k! (t/(t-1))^k], stable form.
 
     Equals sqrt(1-t) * tail_{k>n} of the binomial series of 1/sqrt(1-t)
-    in u = t/(t-1); the tail rewrite avoids the u^(n+1) cancellation.
+    in u = t/(t-1).
     """
     t = complex(t)
-    u = t / (t - 1.0)
-    if abs(u) <= _TAIL_CUT:
-        return cmath.sqrt(1.0 - t) * _binomial_tail(-0.5, n + 1, u)
-    s = sum(pochhammer(-0.5, k) / _FACT(k) * u**k for k in range(n + 1))
-    return 1.0 - cmath.sqrt(1.0 - t) * s
+    return cmath.sqrt(1.0 - t) * binomial_remainder(-0.5, n + 1, t / (t - 1.0), (1.0 - t) ** -0.5)
 
 
 def _rhs_i01(t):
@@ -170,13 +148,11 @@ def _rhs_i03(n, t):
         raise DivergenceError("2F1(1+2n,3/2+n;3+2n;1) diverges for n >= 1")
     pref = (-1) ** n * _FACT(n + 1) / pochhammer(0.5, n)
     w = t * t / (4.0 * (t - 1.0))
-    if abs(w) <= _TAIL_CUT:
-        # bracket = -2 sqrt(1-t) * tail; prefactor (2/t)^(2n+2) w^(n+1)
-        # collapses to (t-1)^(-(n+1))
-        tail = _binomial_tail(-0.5, n + 1, w) / w ** (n + 1)
-        return pref * 2.0 * cmath.sqrt(1.0 - t) * tail / (t - 1.0) ** (n + 1)
-    s = sum(pochhammer(-0.5, k) / _FACT(k) * w**k for k in range(n + 1))
-    return pref * (2.0 / t) ** (2 * (n + 1)) * (2.0 - t - 2.0 * cmath.sqrt(1.0 - t) * s)
+    # bracket 2 - t - 2 sqrt(1-t) (head in w) = 2 sqrt(1-t) * tail, as
+    # sqrt(1-w) = (2-t) / (2 sqrt(1-t)); the prefactor (2/t)^(2n+2) is
+    # 1 / (w (t-1))^(n+1)
+    tail = binomial_remainder(-0.5, n + 1, w, (2.0 - t) / (2.0 * cmath.sqrt(1.0 - t)))
+    return pref * 2.0 * cmath.sqrt(1.0 - t) * (tail / w ** (n + 1)) / (t - 1.0) ** (n + 1)
 
 
 def _rhs_i04(n, t):
@@ -197,12 +173,9 @@ def _rhs_i05(n, t):
             return 2.0 + 0.0j
         raise DivergenceError("2F1(1/2+n,1+n;2+n;1) diverges for n >= 1")
     pref = 2.0 * (-1) ** n * _FACT(n + 1) / (pochhammer(0.5, n) * t ** (n + 1))
-    if abs(t) <= _TAIL_CUT:
-        # bracket = (1-t)^(1/2-n) * tail of the binomial series of
-        # (1-t)^(n-1/2) in t
-        return pref * (1.0 - t) ** (0.5 - n) * _binomial_tail(0.5 - n, n + 1, t)
-    s = sum(pochhammer(0.5 - n, k) / _FACT(k) * t**k for k in range(n + 1))
-    return pref * (1.0 - (1.0 - t) ** (0.5 - n) * s)
+    # bracket = (1-t)^(1/2-n) * tail of the binomial series of (1-t)^(n-1/2) in t
+    tail = binomial_remainder(0.5 - n, n + 1, t, (1.0 - t) ** (n - 0.5))
+    return pref * (1.0 - t) ** (0.5 - n) * tail
 
 
 def _rhs_i06(n, t):
@@ -213,11 +186,7 @@ def _rhs_i06(n, t):
 def _seven_bracket(n: int, t) -> complex:
     """[1 - (1/sqrt(1-t)) sum_{k<=n} (1/2)_k/k! (t/(t-1))^k], stable form."""
     t = complex(t)
-    u = t / (t - 1.0)
-    if abs(u) <= _TAIL_CUT:
-        return _binomial_tail(0.5, n + 1, u) / cmath.sqrt(1.0 - t)
-    s = sum(pochhammer(0.5, k) / _FACT(k) * u**k for k in range(n + 1))
-    return 1.0 - s / cmath.sqrt(1.0 - t)
+    return binomial_remainder(0.5, n + 1, t / (t - 1.0), (1.0 - t) ** 0.5) / cmath.sqrt(1.0 - t)
 
 
 def _rhs_i07(n, t):
@@ -239,17 +208,11 @@ def _rhs_i08(n, t):
     u = cmath.sqrt(1.0 - t)
     v = (u - 1.0) / u
     pref = 2.0 * _FACT(n + 1) / pochhammer(1.5, n)
-    if abs(v) <= 2.0 * _TAIL_CUT:
-        # the explicit ((t-1)/t)^(n+1) piece cancels the untruncated part
-        # of the sum exactly (both equal +-2 u^(2n+1)/((1-u)(1+u))^(n+1)),
-        # leaving the binomial tail in v/2
-        tail = _binomial_tail(n + 1.0, n + 1, v / 2.0)
-        return pref * (-(2.0**-n)) * (u / (u - 1.0)) ** n / (1.0 - u) * tail
-    s = sum(
-        pochhammer(n + 1, k) / (_FACT(k) * 2.0 ** (k + n)) * v ** (k - n)
-        for k in range(n + 1)
-    )
-    return pref * (2.0 / u * ((t - 1.0) / t) ** (n + 1) + s / (1.0 - u))
+    # the explicit ((t-1)/t)^(n+1) piece cancels the untruncated part of
+    # the sum exactly (both equal +-2 u^(2n+1)/((1-u)(1+u))^(n+1)), leaving
+    # the binomial tail of (1 - v/2)^(-(n+1)) = (2u/(1+u))^(n+1) in v/2
+    tail = binomial_remainder(n + 1.0, n + 1, v / 2.0, (2.0 * u / (1.0 + u)) ** (n + 1))
+    return pref * (-(2.0**-n)) * (u / (u - 1.0)) ** n / (1.0 - u) * tail
 
 
 def _rhs_i09(n, t):
@@ -261,10 +224,8 @@ def _rhs_i09(n, t):
     if t == 1:
         return 2.0 * (n + 1) / (2 * n + 1) + 0.0j
     pref = 2.0 * _FACT(n + 1) / pochhammer(1.5, n)
-    if abs(t) <= _TAIL_CUT:
-        return pref * _binomial_tail(-n - 0.5, n + 1, t) / (-t) ** (n + 1)
-    s = sum(pochhammer(-n - 0.5, k) / _FACT(k) * t**k for k in range(n + 1))
-    return pref / (-t) ** (n + 1) * ((1.0 - t) ** (n + 0.5) - s)
+    tail = binomial_remainder(-n - 0.5, n + 1, t, (1.0 - t) ** (n + 0.5))
+    return pref * tail / (-t) ** (n + 1)
 
 
 def _rhs_i10(n, t):

@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
 from .specfun import (
+    binomial_remainder,
     gamma,
     hyp_pfq,
     lower_incomplete_gamma,
@@ -127,23 +128,24 @@ def integrate_semi_infinite(
     singular_exponent: float = 0.0,
     decay_rate: float = 1.0,
 ) -> QuadResult:
-    """Integrate ``f`` over (0, infinity) to relative accuracy ``tol``.
+    """Integrate ``f`` over (0, infinity) to ``tol``, relative where the
+    value's modulus exceeds 1 and absolute below it.
 
     ``singular_exponent`` is the power of t as t -> 0 (it must exceed
     -1) and ``decay_rate`` the exponential tail rate (>= 0); either out
     of range raises :class:`DomainError`.  Exponentially decaying
     integrands are truncated at T = max(50/decay_rate, 40), where the
-    truncation bound |f(T)|/decay_rate is checked against tol/10, and
-    integrated with tanh-sinh; a negative exponent first goes through
+    truncation bound |f(T)|/decay_rate is held under tol/10 (absolute),
+    and integrated with tanh-sinh; a negative exponent first goes through
     the substitution t = u^m that flattens the origin singularity.  A
-    zero decay rate selects the exp-sinh transform of the full half
-    line.
+    zero decay rate selects the exp-sinh transform of the full half line.
     The levels halve h from 0.5 and are nested: each finer level
     evaluates only its new odd-index nodes, so no node is evaluated
     twice, and ``evaluations`` counts each integrand call once (the
-    truncation-point search included).  A result not converged at the
-    finest level (h = 0.5/64) raises :class:`BudgetError` with the last
-    estimate attached.
+    truncation-point search included).  A level is accepted once its
+    change plus the truncation bound is at most tol * max(1, |value|) / 3;
+    a result not converged at the finest level (h = 0.5/64) raises
+    :class:`BudgetError` with the last estimate attached.
     """
     if not singular_exponent > -1.0:
         raise DomainError("singular_exponent must exceed -1 for integrability")
@@ -260,9 +262,9 @@ def j1_integral(n: int, s, x, tol) -> complex:
 def j1_closed_form(n: int, s, x) -> complex:
     """-2 sqrt(pi) n! [sqrt(s) - sqrt(s+x) sum_{k<=n} (-1/2)_k/k! (x/(x+s))^k]."""
     s, x = complex(s), complex(x)
-    u = x / (x + s)
-    acc = sum(pochhammer(-0.5, k) / math.factorial(k) * u**k for k in range(n + 1))
-    return -2.0 * _SQRT_PI * math.factorial(n) * (cmath.sqrt(s) - cmath.sqrt(s + x) * acc)
+    # the bracket is sqrt(s+x) times the tail of (1-u)^(1/2) in u = x/(x+s)
+    tail = binomial_remainder(-0.5, n + 1, x / (x + s), cmath.sqrt(s) / cmath.sqrt(s + x))
+    return -2.0 * _SQRT_PI * math.factorial(n) * cmath.sqrt(s + x) * tail
 
 
 def j2_integral(n: int, p, x, tol) -> complex:
@@ -284,15 +286,14 @@ def j2_closed_form(n: int, p, x) -> complex:
     p, x = complex(p), complex(x)
     if p == 0:
         return 2.0 * _SQRT_PI * x ** (n - 0.5) / (2 * n - 1)
-    acc = sum(
-        pochhammer(0.5, k) / math.factorial(k) * (-x / p) ** k for k in range(n)
-    )
+    # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
+    tail = binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
     return (
         -_SQRT_PI
         * math.factorial(n - 1)
         * (-p) ** (n - 1)
         / pochhammer(0.5, n)
-        * (cmath.sqrt(p) - cmath.sqrt(p + x) * acc)
+        * (cmath.sqrt(p + x) * tail)
     )
 
 

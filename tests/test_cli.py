@@ -95,6 +95,18 @@ class TestEvalCommand:
         assert main(["eval", "rgamma", "-200.5"]) == 3
         assert "overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["gamma", "rgamma"])
+    def test_reflection_overflow_names_the_argument(self, name, capsys):
+        assert main(["eval", name, "-200.5"]) == 3
+        assert "-200.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["2000", "3"], ["1e12", "0.5"]])
+    def test_legendre_polynomial_out_of_range(self, args, capsys):
+        # once nan+nani with exit 0, and a recurrence that ran until killed
+        assert main(["eval", "legendre_poly", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "legendre_polynomial" in captured.err
+
     @pytest.mark.parametrize("args,code,printed", [
         (["pochhammer", "0.5", "1e12"], 3, ""),
         (["pochhammer", "-3", "1e12"], 0, "0"),
@@ -420,6 +432,11 @@ class TestIntegrateCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "quadrature  = none" and out[1].startswith("closed form = -3.8969")
         assert out[2].endswith("verdict = fail")
+
+    def test_j1_closed_form_at_small_x(self, capsys):
+        # the printed bracket cancelled to -4.7e-15 here
+        assert main(["integrate", "J1", "--n", "3", "--s", "1", "--x", "1e-4"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "closed form = 8.30605151656157e-17"
 
     def test_custom_expression(self, capsys):
         assert main(["integrate", "custom", "exp(-t)"]) == 0

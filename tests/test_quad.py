@@ -5,7 +5,13 @@ import pytest
 
 from trihyp.errors import BudgetError, DomainError
 from trihyp.identities import check_point
-from trihyp.quad import integrate_semi_infinite, j3_closed_form, laplace_random_draw
+from trihyp.quad import (
+    integrate_semi_infinite,
+    j1_closed_form,
+    j2_closed_form,
+    j3_closed_form,
+    laplace_random_draw,
+)
 from trihyp.specfun import gamma
 
 SQRT_PI = math.sqrt(math.pi)
@@ -171,6 +177,35 @@ class TestJ2:
             check_point("J2", {"n": 0, "p": 1.0, "x": 1.0}, 1e-6)
         with pytest.raises(DomainError):
             check_point("J2", {"n": 1, "p": 0.0, "x": -1.0}, 1e-6)
+
+
+class TestBracketClosedForms:
+    """The J1/J2 brackets shrink like x^(n+1) (J1) or x^n (J2) at small x;
+    the printed forms lost every digit there."""
+
+    @pytest.mark.parametrize("n,s,x", [(3, 1.0, 1e-2), (3, 1.0, 1e-4), (3, 1.0, 1e-6)])
+    def test_j1_vs_mpmath(self, n, s, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.quad(
+                lambda t: mpmath.exp(-s * t) * t ** mpmath.mpf(-1.5)
+                * mpmath.gammainc(n + 1, 0, x * t),
+                [0, 1, mpmath.inf],
+            )
+        ref = complex(ref)
+        assert abs(j1_closed_form(n, s, x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("n,p,x", [(3, 1.0, 1e-5), (2, 1.0, 1e-3)])
+    def test_j2_vs_mpmath(self, n, p, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = mpmath.quad(
+                lambda t: mpmath.exp(-p * t) * t ** (-n - mpmath.mpf(0.5))
+                * mpmath.gammainc(n, 0, x * t),
+                [0, 1, mpmath.inf],
+            )
+        ref = complex(ref)
+        assert abs(j2_closed_form(n, p, x) - ref) <= 1e-12 * abs(ref)
 
 
 class TestJ3:

@@ -12,6 +12,7 @@ from trihyp.specfun import (
     SeriesControl,
     _sum_series,
     bell_polynomial,
+    binomial_remainder,
     gamma,
     gauss_sum_2f1,
     hyp1f1,
@@ -68,6 +69,33 @@ class TestPochhammer:
     def test_overflow_is_domain_error(self, a, k):
         with pytest.raises(DomainError, match="pochhammer.*overflows"):
             pochhammer(a, k)
+
+
+def _catalog_remainders():
+    """Every (c, k0) the bracket sites use: k0 = n+1 with n = 0..5."""
+    for n in range(6):
+        for c in sorted({-0.5, 0.5, 0.5 - n, -n - 0.5, n + 1.0}):
+            yield c, n + 1
+
+
+class TestBinomialRemainder:
+    @pytest.mark.parametrize("c,k0", list(_catalog_remainders()))
+    @pytest.mark.parametrize("radius", [0.79, 0.81])  # either side of the 0.8 cut
+    def test_vs_mpmath(self, c, k0, radius):
+        mpmath = pytest.importorskip("mpmath")
+        for angle in (0.0, 0.9, 2.2, math.pi):
+            u = radius * cmath.exp(1j * angle)
+            with mpmath.workdps(40):
+                w = mpmath.mpc(u)
+                head = sum(mpmath.rf(c, k) / mpmath.factorial(k) * w**k for k in range(k0))
+                ref = complex((1 - w) ** (-c) - head)
+            got = binomial_remainder(c, k0, u, (1.0 - u) ** (-c))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (u, got, ref)
+
+    def test_printed_form_only_past_the_cut(self):
+        # inside the cut the remainder ignores ``full``; past it, it is full less the head
+        assert rel(binomial_remainder(0.5, 1, 0.5, math.nan), 2.0**0.5 - 1.0) < 1e-15
+        assert binomial_remainder(0.5, 1, 0.81, 7.0) == 6.0
 
 
 class TestGamma:
@@ -136,6 +164,12 @@ class TestGamma:
     def test_reciprocal_non_finite_argument(self, z):
         with pytest.raises(DomainError, match="finite"):
             rgamma(z)
+
+    @pytest.mark.parametrize("fn", [gamma, rgamma])
+    def test_reflection_overflow_names_the_callers_argument(self, fn):
+        # not the 201.5 of the inner gamma(1 - z)
+        with pytest.raises(DomainError, match=r"gamma overflows at z = \(-200\.5\+0j\)"):
+            fn(-200.5)
 
 
 class TestHypPfq:
@@ -338,6 +372,17 @@ class TestRegularized:
         assert reg.value == plain.value * scale
         assert reg.terms_used == plain.terms_used
 
+    def test_start_term_past_a_far_pole(self):
+        # sum_{k >= 201} z^k / Gamma(k - 200) = z^201 e^z; (1)_201 and 201! alone overflow
+        res = hyp_pfq_regularized((1,), (-200,), 0.5)
+        ref = 0.5**201 * math.exp(0.5)
+        assert abs(res.value - ref) <= 1e-13 * ref
+
+    def test_start_term_below_the_double_range(self):
+        # 0.5^201 / 201! ~ 2e-438 underflows; z^201 / 201! once raised a bare OverflowError
+        res = hyp_pfq_regularized((), (-200,), 0.5)
+        assert res.value == 0 and res.converged
+
 
 class TestIncompleteGamma:
     def test_order_one(self):
@@ -462,6 +507,17 @@ class TestLegendre:
         assert legendre_polynomial(0, 0.3) == 1
         assert legendre_polynomial(1, 0.3) == 0.3
         assert rel(legendre_polynomial(3, 0.5), -0.4375) < 1e-14
+
+    def test_polynomial_overflow_is_domain_error(self):
+        # P_2000(3) ~ 1e1530: the recurrence used to reach inf - inf and return nan
+        with pytest.raises(DomainError, match="overflows"):
+            legendre_polynomial(2000, 3)
+
+    def test_polynomial_degree_bound(self):
+        # the bound itself still runs; |P_n(cos a)| < sqrt(2 / (pi n sin a)) (Bernstein)
+        assert abs(legendre_polynomial(10**6, 0.5)) < 1e-3
+        with pytest.raises(DomainError, match="n <= 10\\^6"):
+            legendre_polynomial(10**12, 0.5)
 
 
 class TestParabolicCylinder:
