@@ -13,9 +13,12 @@ grid size.
 
 Several printed elementary forms (I02-I05, I07-I10, and the J1/J2 closed
 forms of :mod:`trihyp.quad`) hold a bracket ``1 - (truncated binomial
-series)`` that shrinks like t^(n+1), so evaluated literally it cancels
-catastrophically at small |t|.  Every such bracket goes through the one
-helper :func:`trihyp.specfun.binomial_remainder`.
+series)`` that shrinks like t^(n+1) under a prefactor that grows like
+t^(-(n+1)), so evaluated literally it cancels at small |t| and the two
+powers under- and overflow.  Every such bracket goes through the one
+helper :func:`trihyp.specfun.binomial_remainder`, which returns it over
+its leading power; each side cancels that power against its prefactor by
+algebra, so none needs a t = 0 row.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .specfun import (
     lower_incomplete_gamma,
     pochhammer,
 )
-from .specfun import _binomial_tail  # noqa: F401  (keeps its former import path)
 from . import quad
 from .roots import g_function
 
@@ -53,9 +55,6 @@ __all__ = [
     "default_grid",
     "faa_di_bruno_derivative",
     "i13_rhs",
-    "i13_piecewise",
-    "i14a_rhs",
-    "i14b_rhs",
     "i15_rhs",
     "DEFAULT_SEED",
 ]
@@ -107,10 +106,9 @@ class CheckRecord(NamedTuple):
 
 
 def _half_bracket(n: int, t) -> complex:
-    """[1 - sqrt(1-t) sum_{k<=n} (-1/2)_k/k! (t/(t-1))^k], stable form.
+    """[1 - sqrt(1-t) sum_{k<=n} (-1/2)_k/k! u^k] / u^(n+1), u = t/(t-1).
 
-    Equals sqrt(1-t) * tail_{k>n} of the binomial series of 1/sqrt(1-t)
-    in u = t/(t-1).
+    Equals sqrt(1-t) times the binomial remainder of 1/sqrt(1-t) in u.
     """
     t = complex(t)
     return cmath.sqrt(1.0 - t) * binomial_remainder(-0.5, n + 1, t / (t - 1.0), (1.0 - t) ** -0.5)
@@ -127,21 +125,17 @@ def _rhs_i01(t):
 
 def _rhs_i02(n, t):
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         if n == 0:
             return 2.0 + 0.0j
         raise DivergenceError("2F1(1/2+n,1+n;2+n;1) diverges for n >= 1")
-    return (
-        2.0 * (-1) ** n * _FACT(n + 1) / (pochhammer(0.5, n) * t ** (n + 1))
-    ) * _half_bracket(n, t)
+    # t^(-(n+1)) times the bracket's u^(n+1) is (t-1)^(-(n+1))
+    pref = 2.0 * (-1) ** n * _FACT(n + 1) / (pochhammer(0.5, n) * (t - 1.0) ** (n + 1))
+    return pref * _half_bracket(n, t)
 
 
 def _rhs_i03(n, t):
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         if n == 0:
             return 4.0 + 0.0j
@@ -150,30 +144,28 @@ def _rhs_i03(n, t):
     w = t * t / (4.0 * (t - 1.0))
     # bracket 2 - t - 2 sqrt(1-t) (head in w) = 2 sqrt(1-t) * tail, as
     # sqrt(1-w) = (2-t) / (2 sqrt(1-t)); the prefactor (2/t)^(2n+2) is
-    # 1 / (w (t-1))^(n+1)
+    # 1 / (w (t-1))^(n+1), and its w^(n+1) is the tail's leading power
     tail = binomial_remainder(-0.5, n + 1, w, (2.0 - t) / (2.0 * cmath.sqrt(1.0 - t)))
-    return pref * 2.0 * cmath.sqrt(1.0 - t) * (tail / w ** (n + 1)) / (t - 1.0) ** (n + 1)
+    return pref * 2.0 * cmath.sqrt(1.0 - t) * tail / (t - 1.0) ** (n + 1)
 
 
 def _rhs_i04(n, t):
     t = complex(t)
-    if t == 0:
-        return 0.0 + 0.0j
     if t == 1:
         return 2.0 * (-1) ** n * _FACT(n) / pochhammer(0.5, n) + 0.0j
-    return 2.0 * (-1) ** n * _FACT(n) / pochhammer(0.5, n) * _half_bracket(n, t)
+    pref = 2.0 * (-1) ** n * _FACT(n) / pochhammer(0.5, n)
+    return pref * (t / (t - 1.0)) ** (n + 1) * _half_bracket(n, t)
 
 
 def _rhs_i05(n, t):
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         if n == 0:
             return 2.0 + 0.0j
         raise DivergenceError("2F1(1/2+n,1+n;2+n;1) diverges for n >= 1")
-    pref = 2.0 * (-1) ** n * _FACT(n + 1) / (pochhammer(0.5, n) * t ** (n + 1))
-    # bracket = (1-t)^(1/2-n) * tail of the binomial series of (1-t)^(n-1/2) in t
+    pref = 2.0 * (-1) ** n * _FACT(n + 1) / pochhammer(0.5, n)
+    # bracket = (1-t)^(1/2-n) t^(n+1) * remainder of the binomial series of
+    # (1-t)^(n-1/2) in t; the t^(n+1) cancels the printed t^(-(n+1))
     tail = binomial_remainder(0.5 - n, n + 1, t, (1.0 - t) ** (n - 0.5))
     return pref * (1.0 - t) ** (0.5 - n) * tail
 
@@ -184,25 +176,22 @@ def _rhs_i06(n, t):
 
 
 def _seven_bracket(n: int, t) -> complex:
-    """[1 - (1/sqrt(1-t)) sum_{k<=n} (1/2)_k/k! (t/(t-1))^k], stable form."""
+    """[1 - (1/sqrt(1-t)) sum_{k<=n} (1/2)_k/k! u^k] / u^(n+1), u = t/(t-1)."""
     t = complex(t)
     return binomial_remainder(0.5, n + 1, t / (t - 1.0), (1.0 - t) ** 0.5) / cmath.sqrt(1.0 - t)
 
 
 def _rhs_i07(n, t):
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         return 2.0 * (n + 1) / (2 * n + 1) + 0.0j
+    # the printed ((t-1)/t)^(n+1) is the inverse of the bracket's u^(n+1)
     pref = 2.0 * _FACT(n + 1) / (pochhammer(1.5, n) * cmath.sqrt(1.0 - t))
-    return pref * ((t - 1.0) / t) ** (n + 1) * _seven_bracket(n, t)
+    return pref * _seven_bracket(n, t)
 
 
 def _rhs_i08(n, t):
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         return 2.0 * (n + 1) / (2 * n + 1) + 0.0j
     u = cmath.sqrt(1.0 - t)
@@ -210,30 +199,33 @@ def _rhs_i08(n, t):
     pref = 2.0 * _FACT(n + 1) / pochhammer(1.5, n)
     # the explicit ((t-1)/t)^(n+1) piece cancels the untruncated part of
     # the sum exactly (both equal +-2 u^(2n+1)/((1-u)(1+u))^(n+1)), leaving
-    # the binomial tail of (1 - v/2)^(-(n+1)) = (2u/(1+u))^(n+1) in v/2
+    # the binomial tail of (1 - v/2)^(-(n+1)) = (2u/(1+u))^(n+1) in v/2, whose
+    # leading power (v/2)^(n+1) cancels the rest of the prefactor to 1/(2^(n+1) u)
     tail = binomial_remainder(n + 1.0, n + 1, v / 2.0, (2.0 * u / (1.0 + u)) ** (n + 1))
-    return pref * (-(2.0**-n)) * (u / (u - 1.0)) ** n / (1.0 - u) * tail
+    return pref * 2.0 ** (-2 * n - 1) * tail / u
 
 
 def _rhs_i09(n, t):
     # bracket sign corrected relative to the printed form: the sum is
     # subtracted (it is the truncated binomial series of (1-t)^(n+1/2))
     t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
     if t == 1:
         return 2.0 * (n + 1) / (2 * n + 1) + 0.0j
     pref = 2.0 * _FACT(n + 1) / pochhammer(1.5, n)
+    # the tail's leading power t^(n+1) over the printed (-t)^(n+1)
     tail = binomial_remainder(-n - 0.5, n + 1, t, (1.0 - t) ** (n + 0.5))
-    return pref * tail / (-t) ** (n + 1)
+    return pref * (-1) ** (n + 1) * tail
 
 
 def _rhs_i10(n, t):
     t = complex(t)
     if t == 0:
         return 0.0 + 0.0j
+    # the printed power keeps its phase (see the domain note); the bracket's
+    # u^n multiplies back in
     return (
         ((t - 1.0) / t) ** (n / 2.0)
+        * (t / (t - 1.0)) ** n
         / (2.0**n * pochhammer(0.5, n))
         * _seven_bracket(n - 1, t)
     )
@@ -254,21 +246,6 @@ def i13_rhs(z) -> complex:
     if z == 0:
         return 1.0 + 0.0j
     return 3.0 / cmath.sqrt(z) * cmath.sin(cmath.asin(cmath.sqrt(z)) / 3.0)
-
-
-def i13_piecewise(z) -> complex:
-    """The two-branch cosh/cos form of the same reduction.
-
-    For real z > 1 this is the continuation from below the branch cut,
-    the complex conjugate of what principal-branch asin produces there.
-    """
-    z = complex(z)
-    sz = cmath.sqrt(z)
-    if z.imag == 0.0 and z.real >= 1.0:
-        u = cmath.acosh(sz) / 3.0
-        return 3.0 / (2.0 * sz) * (cmath.cosh(u) - 1j * math.sqrt(3.0) * cmath.sinh(u))
-    u = cmath.acos(sz) / 3.0
-    return 3.0 / (2.0 * sz) * (cmath.cos(u) - math.sqrt(3.0) * cmath.sin(u))
 
 
 def _h_coeff(s: int, z) -> complex:
@@ -301,21 +278,6 @@ def faa_di_bruno_derivative(n: int, z) -> complex:
 def _rhs_i14(n, z):
     z = complex(z)
     return 6.0 * z ** (n - 0.5) / _SQRT_PI * faa_di_bruno_derivative(n, z)
-
-
-def i14a_rhs(z) -> complex:
-    """Elementary form of the n = 1 member: cos((1/3) asin sqrt(z)) / sqrt(1-z)."""
-    z = complex(z)
-    return cmath.cos(cmath.asin(cmath.sqrt(z)) / 3.0) / cmath.sqrt(1.0 - z)
-
-
-def i14b_rhs(z) -> complex:
-    """Elementary form of the n = 2 member."""
-    z = complex(z)
-    u = cmath.asin(cmath.sqrt(z)) / 3.0
-    return ((3.0 - 6.0 * z) * cmath.cos(u) + cmath.sqrt(-z * (z - 1.0)) * cmath.sin(u)) / (
-        3.0 * (1.0 - z) ** 1.5
-    )
 
 
 def _g_bracket(z) -> complex:
@@ -697,12 +659,12 @@ _register(
     IdentityDescriptor(
         id="I18",
         params=_P_NT,
-        domain="n in 0..5, 0 < |t| <= 0.92 (shared domain of the equivalent forms)",
+        domain="n in 0..5, |t| <= 0.92 (shared domain of the equivalent forms)",
         lhs=lambda n, t: _i18_sides(n, t)[0],
         rhs=lambda n, t: _i18_sides(n, t)[1],
         anchor="equivalence of the alternative elementary representations "
         "(I02 = I05, I07 = I08 = I09)",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and _in_disc(t, min_abs=1e-6),
+        in_domain=lambda n, t: _int_in(n, 0, 5) and _in_disc(t),
         sample=_make_nt_sampler(0, 5, min_abs=0.01),
         special_points=({"n": 1, "t": 0.5}, {"n": 3, "t": -0.4}),
         notes="reports the worst-disagreeing pair among the three equivalences",

@@ -263,7 +263,8 @@ def j1_closed_form(n: int, s, x) -> complex:
     """-2 sqrt(pi) n! [sqrt(s) - sqrt(s+x) sum_{k<=n} (-1/2)_k/k! (x/(x+s))^k]."""
     s, x = complex(s), complex(x)
     # the bracket is sqrt(s+x) times the tail of (1-u)^(1/2) in u = x/(x+s)
-    tail = binomial_remainder(-0.5, n + 1, x / (x + s), cmath.sqrt(s) / cmath.sqrt(s + x))
+    u = x / (x + s)
+    tail = u ** (n + 1) * binomial_remainder(-0.5, n + 1, u, cmath.sqrt(s) / cmath.sqrt(s + x))
     return -2.0 * _SQRT_PI * math.factorial(n) * cmath.sqrt(s + x) * tail
 
 
@@ -287,7 +288,7 @@ def j2_closed_form(n: int, p, x) -> complex:
     if p == 0:
         return 2.0 * _SQRT_PI * x ** (n - 0.5) / (2 * n - 1)
     # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
-    tail = binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
+    tail = (-x / p) ** n * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
     return (
         -_SQRT_PI
         * math.factorial(n - 1)

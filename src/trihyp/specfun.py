@@ -169,10 +169,10 @@ def pochhammer(a, k: int) -> complex:
 
 
 def _binomial_tail(c, k0: int, u) -> complex:
-    """sum_{k >= k0} (c)_k u^k / k!  by term recurrence (needs |u| < 1);
+    """sum_{k >= k0} (c)_k u^(k-k0) / k!  by term recurrence (needs |u| < 1);
     a sum not converged in 4000 terms raises :class:`BudgetError`."""
     c, u = complex(c), complex(u)
-    term = pochhammer(c, k0) / math.factorial(k0) * u**k0
+    term = pochhammer(c, k0) / math.factorial(k0)
     total = term
     k = k0
     for _ in range(4000):
@@ -188,14 +188,17 @@ _TAIL_CUT = 0.8  # sum the remainder term by term while |u| is at most this
 
 
 def binomial_remainder(c, k0: int, u, full) -> complex:
-    """sum_{k >= k0} (c)_k u^k / k!: the binomial series of (1-u)^(-c) less
-    its head, the stable form of a bracket ``1 - (truncated series)`` that
-    shrinks like u^k0.  Summed term by term where |u| <= 0.8, elsewhere as
-    ``full`` (the value of (1-u)^(-c) on the caller's branch) less the head."""
+    """sum_{k >= k0} (c)_k u^(k-k0) / k! = (c)_k0/k0! 2F1(c+k0, 1; k0+1; u):
+    the binomial series of (1-u)^(-c) less its head, over its leading power,
+    so a bracket ``1 - (truncated series)`` that shrinks like u^k0 is u^k0
+    times a value in range at any small u.  Summed term by term where
+    |u| <= 0.8, elsewhere as ``full`` (the value of (1-u)^(-c) on the
+    caller's branch) less the head, over u^k0."""
     u = complex(u)
     if abs(u) <= _TAIL_CUT:
         return _binomial_tail(c, k0, u)
-    return full - sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
+    head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
+    return (full - head) / u**k0
 
 
 # --------------------------------------------------------------------------

@@ -382,6 +382,14 @@ class TestCheckGrids:
         assert rec["verdict"] == "skipped_domain"
         assert rec["params"]["tol"] == 1e-6
 
+    def test_tiny_t_points_pass(self, tmp_path):
+        # t = 1e-60 underflows t^(n+1); at t = -1e-20, sqrt(1-t) rounds to 1
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "I02,I08", "--grid", "n:5", "--grid", "t:1e-60,-1e-20",
+                     "--jobs", "1", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["verdict"] for r in records] == ["pass"] * 4
+
     def test_overflowing_weight_is_skipped(self, tmp_path):
         # at x = 1e300 the tanh-sinh nodes reach t where t^(-3/2) overflows a double;
         # that point is skipped and the x = 1 point keeps its verdict

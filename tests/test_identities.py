@@ -11,21 +11,52 @@ from trihyp.identities import (
     eval_identity,
     faa_di_bruno_derivative,
     get_identity,
-    i13_piecewise,
     i13_rhs,
-    i14a_rhs,
-    i14b_rhs,
     i15_rhs,
     list_identities,
 )
 from trihyp.roots import g_function
-from trihyp.specfun import gamma, hyp2f1, pochhammer
+from trihyp.specfun import _binomial_tail, gamma, hyp2f1, pochhammer
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
+
+
+# reference elementary forms of I13 and of the n = 1, 2 members of I14,
+# coded here only to cross-check the catalog's own sides
+
+
+def i13_piecewise(z) -> complex:
+    """The two-branch cosh/cos form of the I13 reduction.
+
+    For real z > 1 this is the continuation from below the branch cut,
+    the complex conjugate of what principal-branch asin produces there.
+    """
+    z = complex(z)
+    sz = cmath.sqrt(z)
+    if z.imag == 0.0 and z.real >= 1.0:
+        u = cmath.acosh(sz) / 3.0
+        return 3.0 / (2.0 * sz) * (cmath.cosh(u) - 1j * math.sqrt(3.0) * cmath.sinh(u))
+    u = cmath.acos(sz) / 3.0
+    return 3.0 / (2.0 * sz) * (cmath.cos(u) - math.sqrt(3.0) * cmath.sin(u))
+
+
+def i14a_rhs(z) -> complex:
+    """Elementary form of the n = 1 member: cos((1/3) asin sqrt(z)) / sqrt(1-z)."""
+    z = complex(z)
+    return cmath.cos(cmath.asin(cmath.sqrt(z)) / 3.0) / cmath.sqrt(1.0 - z)
+
+
+def i14b_rhs(z) -> complex:
+    """Elementary form of the n = 2 member."""
+    z = complex(z)
+    u = cmath.asin(cmath.sqrt(z)) / 3.0
+    return ((3.0 - 6.0 * z) * cmath.cos(u) + cmath.sqrt(-z * (z - 1.0)) * cmath.sin(u)) / (
+        3.0 * (1.0 - z) ** 1.5
+    )
 
 
 class TestCatalog:
@@ -109,13 +140,13 @@ class TestEvalIdentity:
 
 class TestBinomialTail:
     def test_converged_sum(self):
-        # sum_{k >= 1} (1/2)_k u^k / k! = (1 - u)^(-1/2) - 1
-        assert rel(identities._binomial_tail(0.5, 1, 0.5), 2.0**0.5 - 1.0) < 1e-15
+        # sum_{k >= 1} (1/2)_k u^(k-1) / k! = ((1 - u)^(-1/2) - 1) / u
+        assert rel(_binomial_tail(0.5, 1, 0.5), (2.0**0.5 - 1.0) / 0.5) < 1e-15
 
     def test_budget_raises(self):
         # near u = 1 the terms fall like k^(-1/2) u^k: 4000 terms reach 61.9 of the 99.0
         with pytest.raises(BudgetError, match="did not converge in 4000 terms") as err:
-            identities._binomial_tail(0.5, 1, 0.9999)
+            _binomial_tail(0.5, 1, 0.9999)
         assert abs(err.value.best - 61.9) < 0.1
 
 
@@ -173,6 +204,18 @@ class TestEquivalences:
     def test_i18_entry(self):
         recs = [eval_identity("I18", p, 1e-8) for p in default_grid("I18", 60)]
         assert all(r.verdict == "pass" for r in recs)
+
+
+class TestTinyArgument:
+    # each elementary side holds its bracket over the bracket's leading power,
+    # so no t^(n+1) prefactor under- or overflows, and t = 0 needs no row
+    @pytest.mark.parametrize("cid", ["I02", "I03", "I04", "I05", "I07", "I08", "I09", "I18"])
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-60, -1e-20, 1e-17 + 1e-17j])
+    def test_passes_near_zero(self, cid, t):
+        for n in (0, 5):
+            rec = eval_identity(cid, {"n": n, "t": t}, 1e-8)
+            assert rec.verdict == "pass", rec
+            assert rec.rel_err <= 1e-14, rec
 
 
 class TestQuadraticTransformation:

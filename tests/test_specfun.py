@@ -80,22 +80,27 @@ def _catalog_remainders():
 
 class TestBinomialRemainder:
     @pytest.mark.parametrize("c,k0", list(_catalog_remainders()))
-    @pytest.mark.parametrize("radius", [0.79, 0.81])  # either side of the 0.8 cut
+    # either side of the 0.8 cut, and far below underflow of u^k0
+    @pytest.mark.parametrize("radius", [0.79, 0.81, 1e-200])
     def test_vs_mpmath(self, c, k0, radius):
         mpmath = pytest.importorskip("mpmath")
         for angle in (0.0, 0.9, 2.2, math.pi):
             u = radius * cmath.exp(1j * angle)
             with mpmath.workdps(40):
-                w = mpmath.mpc(u)
-                head = sum(mpmath.rf(c, k) / mpmath.factorial(k) * w**k for k in range(k0))
-                ref = complex((1 - w) ** (-c) - head)
+                if radius == 1e-200:  # the leading coefficient, to far below 1e-12
+                    ref = complex(mpmath.rf(c, k0) / mpmath.factorial(k0))
+                else:
+                    w = mpmath.mpc(u)
+                    head = sum(mpmath.rf(c, k) / mpmath.factorial(k) * w**k for k in range(k0))
+                    ref = complex(((1 - w) ** (-c) - head) / w**k0)
             got = binomial_remainder(c, k0, u, (1.0 - u) ** (-c))
             assert abs(got - ref) <= 1e-12 * abs(ref), (u, got, ref)
 
     def test_printed_form_only_past_the_cut(self):
-        # inside the cut the remainder ignores ``full``; past it, it is full less the head
-        assert rel(binomial_remainder(0.5, 1, 0.5, math.nan), 2.0**0.5 - 1.0) < 1e-15
-        assert binomial_remainder(0.5, 1, 0.81, 7.0) == 6.0
+        # inside the cut the remainder ignores ``full``; past it, it is full
+        # less the head, over the leading power
+        assert rel(binomial_remainder(0.5, 1, 0.5, math.nan), (2.0**0.5 - 1.0) / 0.5) < 1e-15
+        assert binomial_remainder(0.5, 1, 0.81, 7.0) == (7.0 - 1.0) / 0.81
 
 
 class TestGamma:
