@@ -271,49 +271,103 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     )
 
 
-def _serialize_value(v):
+def _complex_pair(v):
+    """json's hook for a value it cannot write: a complex number is [re, im]."""
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, (tuple, list)):
-        return [_serialize_value(x) for x in v]
-    return v
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _serialize_params(params: dict) -> dict:
-    return {k: _serialize_value(v) for k, v in sorted(params.items())}
+# a record's params in compact JSON with sorted keys, as its sort key and
+# its CSV column hold them (json's C encoder, as no indent is set)
+_params_key = json.JSONEncoder(sort_keys=True, default=_complex_pair).encode
+_params_csv = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                               default=_complex_pair).encode
 
 
 def _record_sort_key(r: CheckRecord):
-    return (r.identity_id, json.dumps(_serialize_params(r.params), sort_keys=True))
+    return (r.identity_id, _params_key(r.params))
 
 
-def _record_to_json(r: CheckRecord) -> dict:
-    def cval(v):
-        return None if v is None else [v.real, v.imag]
+# --------------------------------------------------------------------------
+# the JSON report: the bytes of json.dumps(doc, indent=2, sort_keys=True),
+# written for the report's fixed layout (with ``indent`` set, json always
+# takes its pure-Python encoder)
+# --------------------------------------------------------------------------
 
-    def fval(v):
-        return None if v != v else v  # NaN becomes null
+_string = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    return {
-        "identity_id": r.identity_id,
-        "params": _serialize_params(r.params),
-        "lhs": cval(r.lhs_value),
-        "rhs": cval(r.rhs_value),
-        "abs_err": fval(r.abs_err),
-        "rel_err": fval(r.rel_err),
-        "verdict": r.verdict,
-    }
+
+def _number(x) -> str:
+    """A number as json writes it: a float by its repr, or as NaN,
+    Infinity or -Infinity."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _FLOAT_WORDS.get(text, text)
+    return _json_value(x, "")
+
+
+def _json_value(v, pad: str) -> str:
+    """``v`` as json.dumps(v, indent=2, sort_keys=True) writes it at the
+    nesting whose indent is ``pad``; a complex number is [re, im]."""
+    inner = pad + "  "
+    if isinstance(v, complex):
+        return f"[\n{inner}{_number(v.real)},\n{inner}{_number(v.imag)}\n{pad}]"
+    if isinstance(v, str):
+        return _string(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _number(v)
+    if isinstance(v, dict):
+        items = [f"{inner}{_string(k)}: {_json_value(x, inner)}" for k, x in sorted(v.items())]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [inner + _json_value(x, inner) for x in v]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _side_json(v) -> str:
+    """A record's side: null, or [re, im] at the record's key indent."""
+    if v is None:
+        return "null"
+    return f"[\n        {_number(v.real)},\n        {_number(v.imag)}\n      ]"
+
+
+def _error_json(x) -> str:
+    return "null" if x != x else _number(x)  # a NaN error is null
+
+
+def _record_json(r: CheckRecord) -> str:
+    return (
+        f'    {{\n      "abs_err": {_error_json(r.abs_err)},\n'
+        f'      "identity_id": {_string(r.identity_id)},\n'
+        f'      "lhs": {_side_json(r.lhs_value)},\n'
+        f'      "params": {_json_value(r.params, "      ")},\n'
+        f'      "rel_err": {_error_json(r.rel_err)},\n'
+        f'      "rhs": {_side_json(r.rhs_value)},\n'
+        f'      "verdict": {_string(r.verdict)}\n    }}'
+    )
 
 
 def report_to_json(report: Report) -> str:
-    doc = {
-        "version": report.tool_version,
-        "config": report.config_echo,
-        "records": [_record_to_json(r) for r in report.records],
-        "summary": report.summary,
-        "wall_time_ms": report.wall_time_ms,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    records = ",\n".join(map(_record_json, report.records))
+    records = f"[\n{records}\n  ]" if records else "[]"
+    return (
+        f'{{\n  "config": {_json_value(report.config_echo, "  ")},\n'
+        f'  "records": {records},\n'
+        f'  "summary": {_json_value(report.summary, "  ")},\n'
+        f'  "version": {_string(report.tool_version)},\n'
+        f'  "wall_time_ms": {_json_value(report.wall_time_ms, "  ")}\n}}\n'
+    )
 
 
 def report_to_csv(report: Report) -> str:
@@ -324,12 +378,10 @@ def report_to_csv(report: Report) -> str:
          "abs_err", "rel_err", "verdict"]
     )
     for r in report.records:
-        params = json.dumps(_serialize_params(r.params), sort_keys=True,
-                            separators=(",", ":"))
         lv, rv = r.lhs_value, r.rhs_value
         writer.writerow([
             r.identity_id,
-            params,
+            _params_csv(r.params),
             "" if lv is None else repr(lv.real),
             "" if lv is None else repr(lv.imag),
             "" if rv is None else repr(rv.real),

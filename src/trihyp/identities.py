@@ -222,13 +222,15 @@ def _rhs_i10(n, t):
     if t == 0:
         return 0.0 + 0.0j
     # the printed power keeps its phase (see the domain note); the bracket's
-    # u^n multiplies back in
-    return (
-        ((t - 1.0) / t) ** (n / 2.0)
-        * (t / (t - 1.0)) ** n
-        / (2.0**n * pochhammer(0.5, n))
-        * _seven_bracket(n - 1, t)
-    )
+    # u^n multiplies back in.  At tiny |t| the two powers leave the double
+    # range (an OverflowError, or inf times 0), and the point has no value
+    try:
+        power = ((t - 1.0) / t) ** (n / 2.0) * (t / (t - 1.0)) ** n
+    except OverflowError:
+        power = math.inf
+    if not cmath.isfinite(power):
+        raise DomainError(f"I10: the power combination at t = {t} leaves the double range")
+    return power / (2.0**n * pochhammer(0.5, n)) * _seven_bracket(n - 1, t)
 
 
 def _rhs_i11(n, t):
@@ -317,15 +319,24 @@ def _rhs_i17(z):
     )
 
 
+_I18_LAST = [None, None, None]  # n, t and the sides of the last I18 point
+
+
 def _i18_sides(n, t):
     """Worst-disagreeing pair among the equivalent elementary forms
-    (I02 vs I05; I07 vs I08; I07 vs I09)."""
-    pairs = (
-        (_rhs_i02(n, t), _rhs_i05(n, t)),
-        (_rhs_i07(n, t), _rhs_i08(n, t)),
-        (_rhs_i07(n, t), _rhs_i09(n, t)),
-    )
-    return max(pairs, key=lambda p: abs(p[0] - p[1]) / max(1.0, abs(p[0])))
+    (I02 vs I05; I07 vs I08; I07 vs I09).
+
+    The LHS and RHS of a point each ask for the pair: the five forms are
+    worked out once, for the last point alone (the same ``t`` object, so
+    that +0 and -0 are told apart).
+    """
+    if _I18_LAST[0] == n and _I18_LAST[1] is t:
+        return _I18_LAST[2]
+    i02, i05, i07 = _rhs_i02(n, t), _rhs_i05(n, t), _rhs_i07(n, t)
+    pairs = ((i02, i05), (i07, _rhs_i08(n, t)), (i07, _rhs_i09(n, t)))
+    sides = max(pairs, key=lambda p: abs(p[0] - p[1]) / max(1.0, abs(p[0])))
+    _I18_LAST[:] = n, t, sides
+    return sides
 
 
 def _rhs_k01(n, z):

@@ -390,6 +390,16 @@ class TestCheckGrids:
         records = json.loads(out.read_text())["records"]
         assert [r["verdict"] for r in records] == ["pass"] * 4
 
+    @pytest.mark.parametrize("t", ["-1e-200", "-1e-310"])
+    def test_i10_power_out_of_range_is_skipped(self, t, tmp_path):
+        # ((t-1)/t)^(n/2) overflows at t = -1e-200 (once a bare OverflowError)
+        # and is not finite at t = -1e-310 (once an RHS of [NaN, NaN])
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "I10", "--grid", "n:4", "--grid", f"t:{t}",
+                     "--out", str(out)]) == 0
+        [rec] = json.loads(out.read_text())["records"]
+        assert rec["verdict"] == "skipped_domain" and rec["rhs"] is None
+
     def test_overflowing_weight_is_skipped(self, tmp_path):
         # at x = 1e300 the tanh-sinh nodes reach t where t^(-3/2) overflows a double;
         # that point is skipped and the x = 1 point keeps its verdict

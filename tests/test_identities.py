@@ -205,6 +205,27 @@ class TestEquivalences:
         recs = [eval_identity("I18", p, 1e-8) for p in default_grid("I18", 60)]
         assert all(r.verdict == "pass" for r in recs)
 
+    def test_i18_forms_once_per_point(self, monkeypatch):
+        # the LHS and the RHS of a point share one evaluation of the five forms
+        from trihyp.identities import _rhs_i02, _rhs_i05, _rhs_i07, _rhs_i08, _rhs_i09
+
+        calls = []
+        for form in (_rhs_i02, _rhs_i05, _rhs_i07, _rhs_i08, _rhs_i09):
+            def counted(n, t, form=form):
+                calls.append(form.__name__)
+                return form(n, t)
+            monkeypatch.setattr(identities, form.__name__, counted)
+        points = default_grid("I18", 20)
+        recs = [eval_identity("I18", p, 1e-8) for p in points]
+        assert sorted(calls) == sorted(["_rhs_i02", "_rhs_i05", "_rhs_i07", "_rhs_i08",
+                                        "_rhs_i09"] * len(points))
+        for p, rec in zip(points, recs):
+            n, t = p["n"], complex(p["t"])
+            pairs = ((_rhs_i02(n, t), _rhs_i05(n, t)), (_rhs_i07(n, t), _rhs_i08(n, t)),
+                     (_rhs_i07(n, t), _rhs_i09(n, t)))
+            worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(1.0, abs(q[0])))
+            assert (rec.lhs_value, rec.rhs_value) == worst
+
 
 class TestTinyArgument:
     # each elementary side holds its bracket over the bracket's leading power,
