@@ -56,36 +56,38 @@ class QuadResult(NamedTuple):
 def _tanh_sinh_sum(f, half: float, h: float, start: int, step: int) -> tuple[complex, int]:
     """Sum of w_k f(x_k) over k = start, start+step, ... (both signs of k)
     of the tanh-sinh rule over (0, 2*half) at step h, without the factor h,
-    and the number of calls of ``f`` it made."""
+    and the number of calls of ``f`` it made.  Each end of the window (the
+    sign of k) stops on its own once two successive contributions are
+    negligible against the running total."""
     total = 0.0 + 0.0j
     calls = 0
     k = start
     i = 0  # nodes of this pass so far
-    dead = 0
-    while k * h <= _TAU_MAX:
+    dead = {1.0: 0, -1.0: 0}  # the end t -> 2*half, the end t -> 0
+    while dead and k * h <= _TAU_MAX:
         tau = k * h
-        contributions = []
-        for sgn in ((1.0,) if k == 0 else (1.0, -1.0)):
+        contributions = {}
+        for sgn in ((1.0,) if k == 0 else dead):
             tt = sgn * tau
             s = _HALF_PI * math.sinh(tt)
             if abs(s) > 350.0:  # weight below 1e-300; also keeps exp() in range
-                contributions.append(0.0)
+                contributions[sgn] = 0.0
                 continue
             x = 2.0 * half / (1.0 + math.exp(-2.0 * s))
             w = half * _HALF_PI * math.cosh(tt) / math.cosh(s) ** 2
             if w == 0.0 or x == 0.0 or x == 2.0 * half:
-                contributions.append(0.0)
+                contributions[sgn] = 0.0
                 continue
             calls += 1
-            contributions.append(w * f(x))
-        c = sum(contributions)
-        total += c
-        if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
-            dead += 1
-            if dead >= 2:
-                break
-        else:
-            dead = 0
+            contributions[sgn] = w * f(x)
+        total += sum(contributions.values())
+        for sgn, c in contributions.items():
+            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
+                dead[sgn] += 1
+                if dead[sgn] >= 2:
+                    del dead[sgn]
+            else:
+                dead[sgn] = 0
         k += step
         i += 1
     return total, calls
@@ -131,14 +133,18 @@ def integrate_semi_infinite(
     """Integrate ``f`` over (0, infinity) to ``tol``, relative where the
     value's modulus exceeds 1 and absolute below it.
 
-    ``singular_exponent`` is the power of t as t -> 0 (it must exceed
-    -1) and ``decay_rate`` the exponential tail rate (>= 0); either out
-    of range raises :class:`DomainError`.  Exponentially decaying
+    ``singular_exponent`` is the power of t as t -> 0 (finite, above -1),
+    ``decay_rate`` the exponential tail rate (finite, >= 0) and ``tol``
+    finite and positive; any of them out of range raises
+    :class:`DomainError`.  Exponentially decaying
     integrands are truncated at T = max(50/decay_rate, 40), where the
     truncation bound |f(T)|/decay_rate is held under tol/10 (absolute),
     and integrated with tanh-sinh; a negative exponent first goes through
     the substitution t = u^m that flattens the origin singularity.  A
     zero decay rate selects the exp-sinh transform of the full half line.
+    Within a level, each end of the window (t -> 0 and t -> T, or
+    t -> 0 and t -> infinity) stops on its own after two successive
+    contributions at or below 1e-18 of the running sum.
     The levels halve h from 0.5 and are nested: each finer level
     evaluates only its new odd-index nodes, so no node is evaluated
     twice, and ``evaluations`` counts each integrand call once (the
@@ -147,12 +153,12 @@ def integrate_semi_infinite(
     a result not converged at the finest level (h = 0.5/64) raises
     :class:`BudgetError` with the last estimate attached.
     """
-    if not singular_exponent > -1.0:
-        raise DomainError("singular_exponent must exceed -1 for integrability")
-    if decay_rate < 0.0:
-        raise DomainError("decay_rate must be >= 0")
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not -1.0 < singular_exponent < math.inf:
+        raise DomainError("singular_exponent must be finite and exceed -1 for integrability")
+    if not 0.0 <= decay_rate < math.inf:
+        raise DomainError("decay_rate must be finite and >= 0")
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tolerance must be finite and positive")
     if decay_rate == 0.0:
         tail, evaluations = 0.0, 0
         level = partial(_exp_sinh_sum, f)

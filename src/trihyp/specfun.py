@@ -741,17 +741,24 @@ def legendre_polynomial(n: int, x) -> complex:
 # --------------------------------------------------------------------------
 
 _PCD_ASYMPTOTIC_CUT = 5.85  # Kummer/asymptotic crossover on the real axis
+# The last order of _pcd_kummer and its weights 2^(nu/2), sqrt(pi)/Gamma((1-nu)/2)
+# and 1/Gamma(-nu/2).  One entry (J3 uses nu = 1/3 alone); a NaN order never
+# matches it, and a non-finite one raises before anything is kept.
+_PCD_WEIGHTS = [None, None]
 
 
 def _pcd_kummer(nu, z):
     x = z * z / 2.0
     m1 = hyp1f1(-nu / 2.0, 0.5, x)
     m2 = hyp1f1((1.0 - nu) / 2.0, 1.5, x)
-    return (
-        _pow(2.0, nu / 2.0)
-        * cmath.exp(-x / 2.0)
-        * (SQRT_PI * rgamma((1.0 - nu) / 2.0) * m1 - SQRT_TWO_PI * z * rgamma(-nu / 2.0) * m2)
-    )
+    if _PCD_WEIGHTS[0] != nu:
+        _PCD_WEIGHTS[:] = nu, (
+            _pow(2.0, nu / 2.0),
+            SQRT_PI * rgamma((1.0 - nu) / 2.0),
+            rgamma(-nu / 2.0),
+        )
+    power, weight1, weight2 = _PCD_WEIGHTS[1]
+    return power * cmath.exp(-x / 2.0) * (weight1 * m1 - SQRT_TWO_PI * z * weight2 * m2)
 
 
 def _pcd_asymptotic(nu, z):
@@ -778,10 +785,14 @@ def parabolic_cylinder_d(nu, z) -> complex:
     Combination of the two confluent hypergeometric solutions with
     gamma weights; on the positive real axis beyond z ~ 5.9 an
     asymptotic expansion takes over (the two-term combination cancels
-    catastrophically there).  Guaranteed ~1e-9 relative accuracy for
-    real |z| <= 20 with |nu| <= 3, except a mild dip (~1e-8) in the
-    crossover window z in (5.3, 6.5).  Complex z is best effort within
-    the overflow guard.
+    catastrophically there).  The gamma weights depend on ``nu`` alone
+    and are kept for the last order asked for.  Measured against mpmath
+    on real z in steps of 0.5 over [-20, 20] and nu in steps of 0.1 over
+    [-3, 3]: relative error below 1.5e-9 outside 4.5 <= z <= 7, and
+    below 1e-8 inside it for nu > -1; for nu <= -1 that window misses
+    1e-8 (up to 1.9e-5 at nu = -3, z = 5.5).  At nu = 1/3, the order of
+    J3, the error stays below 5e-10 over -31.6 <= z <= 20.  Complex z is
+    best effort within the overflow guard.
     """
     nu, z = complex(nu), complex(z)
     if z.imag == 0.0 and nu.imag == 0.0 and z.real > _PCD_ASYMPTOTIC_CUT:

@@ -81,6 +81,30 @@ class TestIntegrator:
         with pytest.raises(DomainError):
             integrate_semi_infinite(lambda t: t, 1e-6, decay_rate=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # nan spent all 7 levels and raised BudgetError; inf tol checked nothing
+            {"tol": math.nan},
+            {"tol": math.inf},
+            {"decay_rate": math.nan},
+            {"decay_rate": math.inf},
+            {"singular_exponent": math.nan},
+            {"singular_exponent": math.inf},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_non_finite_arguments_raise_up_front(self, kwargs):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.exp(-t)
+
+        with pytest.raises(DomainError, match="finite"):
+            integrate_semi_infinite(f, **{"tol": 1e-8, **kwargs})
+        assert calls == []
+
 
 class TestLaplaceLemma:
     def test_degenerate_exponential(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trihyp import specfun
 from trihyp.errors import BudgetError, DivergenceError, DomainError, TrihypError
 from trihyp.specfun import (
     SeriesControl,
@@ -561,6 +562,61 @@ class TestParabolicCylinder:
     def test_overflow_guard(self):
         with pytest.raises(DomainError):
             parabolic_cylinder_d(0.5, -40.0)
+
+    @staticmethod
+    def _kummer_inline(nu, z):
+        # the Kummer combination with its weights formed at every call
+        nu, z = complex(nu), complex(z)
+        x = z * z / 2.0
+        m1 = hyp1f1(-nu / 2.0, 0.5, x)
+        m2 = hyp1f1((1.0 - nu) / 2.0, 1.5, x)
+        return (
+            specfun._pow(2.0, nu / 2.0)
+            * cmath.exp(-x / 2.0)
+            * (SQRT_PI * rgamma((1.0 - nu) / 2.0) * m1
+               - math.sqrt(2.0 * math.pi) * z * rgamma(-nu / 2.0) * m2)
+        )
+
+    def test_kept_weights_are_bit_identical(self):
+        orders = (1 / 3, -0.4, 1.1, 2.5, -3.0, 0.0, -0.0, 1.0, 0.3 + 0.2j, 0.5, complex(0.5, -0.0))
+        args = (-31.6, -7.3, -1.2, -0.0, 0.0, 0.4, 2.0, 5.8, 1.0 + 2.0j, -3.0 - 0.5j)
+        # orders repeat, in turn and after other orders, so both a kept and a
+        # freshly made entry are compared
+        for nu in orders + orders[::-1]:
+            for z in args:
+                assert repr(parabolic_cylinder_d(nu, z)) == repr(self._kummer_inline(nu, z)), (nu, z)
+                assert parabolic_cylinder_d(nu, z) == parabolic_cylinder_d(nu, z)
+
+    def test_weights_of_one_order_are_kept(self, monkeypatch):
+        calls = []
+
+        def counted(z, _rgamma=rgamma):
+            calls.append(z)
+            return _rgamma(z)
+
+        monkeypatch.setattr(specfun, "rgamma", counted)
+        monkeypatch.setattr(specfun, "_PCD_WEIGHTS", [None, None])
+        for z in (-20.0, -1.5, 0.3, 4.0):
+            parabolic_cylinder_d(1 / 3, z)
+        assert len(calls) == 2
+        for nu in (math.nan, complex(math.nan, 0.0), math.inf):
+            with pytest.raises(TrihypError):
+                parabolic_cylinder_d(nu, 1.0)
+        # a non-finite order raises without replacing the kept entry
+        assert specfun._PCD_WEIGHTS[0] == 1 / 3 and len(calls) == 2
+
+    def test_order_one_third_vs_mpmath(self):
+        # J3's order over its whole argument range -sqrt(2 x T) <= z <= 0 and
+        # beyond, through the Kummer/asymptotic crossover at 5.85
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(30):
+            nu = mpmath.mpf(1) / 3
+            for k in range(1033):  # z = -31.6 to 20 in steps of 0.05
+                z = round(-31.6 + 0.05 * k, 2)
+                ref = complex(mpmath.pcfd(nu, z))
+                worst = max(worst, abs(parabolic_cylinder_d(1 / 3, z) - ref) / abs(ref))
+        assert worst <= 1e-9
 
 
 def _set_partitions(items):
