@@ -237,13 +237,14 @@ def _evaluate(todo: list, jobs: int) -> list:
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     """Execute the configured sweep and assemble the report.
 
-    ``jobs`` counts processes, this one included (default: the machine's
-    CPU count).  The points are split round-robin over them and the
-    extra processes are forked, so call this from a process without
-    threads; a sweep of 8 points or fewer, or a platform without
-    ``os.fork``, runs in this process alone.  Deterministic for a fixed
-    config and seed: records are sorted by (check id, parameter tuple)
-    before serialization, so the split never changes the output.
+    ``jobs`` counts processes, this one included (default and cap: the
+    machine's CPU count; below 1 raises ``ValueError``).  The points are
+    split round-robin over them and the extra processes are forked, so
+    call this from a process without threads; a sweep of 8 points or
+    fewer, or a platform without ``os.fork``, runs in this process alone.
+    Deterministic for a fixed config and seed: records are sorted by
+    (check id, parameter tuple) before serialization, so the split never
+    changes the output.
     """
     t0 = time.perf_counter()
     todo = []
@@ -251,8 +252,10 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
         tol = config.tolerance if config.tolerance is not None else default_tolerance(cid)
         for params in sweep_points(cid, config):
             todo.append((cid, params, tol))
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    cpus = os.cpu_count() or 1
+    jobs = cpus if jobs is None else min(jobs, cpus)
     if len(todo) <= 8 or not hasattr(os, "fork"):
         jobs = 1
     records = _evaluate(todo, jobs)
@@ -560,6 +563,8 @@ def _build_config(args) -> SweepConfig:
 
 def _cmd_check(args) -> int:
     config = _build_config(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
     report = run_sweep(config, jobs=args.jobs)
     text = report_to_json(report) if config.output_format == "json" else report_to_csv(report)
     try:

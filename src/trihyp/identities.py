@@ -873,10 +873,11 @@ def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
     side diverges, or where either side raises :class:`BudgetError`,
     count as ``fail`` with that side's value None; points where both
     sides are genuinely infinite (the divergent rows of the piecewise
-    forms) come back as ``divergent_both``.
+    forms) come back as ``divergent_both``.  A ``tol`` that is not finite
+    and positive raises :class:`DomainError`.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     desc = get_identity(identity_id)
     p = _coerce_params(desc, params)
     point = dict(p, tol=tol) if desc.quadrature else p  # what the LHS takes and the record keeps

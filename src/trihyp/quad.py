@@ -53,75 +53,64 @@ class QuadResult(NamedTuple):
     evaluations: int
 
 
-def _tanh_sinh_sum(f, half: float, h: float, start: int, step: int) -> tuple[complex, int]:
-    """Sum of w_k f(x_k) over k = start, start+step, ... (both signs of k)
-    of the tanh-sinh rule over (0, 2*half) at step h, without the factor h,
-    and the number of calls of ``f`` it made.  Each end of the window (the
-    sign of k) stops on its own once two successive contributions are
-    negligible against the running total."""
+def _level_sum(f, node, h: float, start: int, step: int) -> tuple[complex, int]:
+    """Sum of w f(x) over the nodes (x, w) = node(+-k h), k = start,
+    start+step, ... up to k h = 6.5, of a double-exponential rule at step h,
+    without the factor h, and the number of calls of ``f`` it made.  The
+    node k = 0 is taken once.  Each end (the sign of k) stops on its own
+    once two successive contributions are negligible against the running
+    total; ``node`` returns None where a contribution is negligible a priori."""
     total = 0.0 + 0.0j
     calls = 0
     k = start
     i = 0  # nodes of this pass so far
-    dead = {1.0: 0, -1.0: 0}  # the end t -> 2*half, the end t -> 0
+    dead = {1.0: 0, -1.0: 0}  # negligible steps in a row of each live end
     while dead and k * h <= _TAU_MAX:
-        tau = k * h
         contributions = {}
-        for sgn in ((1.0,) if k == 0 else dead):
-            tt = sgn * tau
-            s = _HALF_PI * math.sinh(tt)
-            if abs(s) > 350.0:  # weight below 1e-300; also keeps exp() in range
-                contributions[sgn] = 0.0
-                continue
-            x = 2.0 * half / (1.0 + math.exp(-2.0 * s))
-            w = half * _HALF_PI * math.cosh(tt) / math.cosh(s) ** 2
-            if w == 0.0 or x == 0.0 or x == 2.0 * half:
-                contributions[sgn] = 0.0
-                continue
-            calls += 1
-            contributions[sgn] = w * f(x)
-        total += sum(contributions.values())
-        for sgn, c in contributions.items():
-            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
-                dead[sgn] += 1
-                if dead[sgn] >= 2:
-                    del dead[sgn]
+        for end in ((1.0,) if k == 0 else dead):
+            xw = node(end * (k * h))
+            if xw is None:
+                contributions[end] = 0.0
             else:
-                dead[sgn] = 0
+                calls += 1
+                contributions[end] = xw[1] * f(xw[0])
+        total += sum(contributions.values())
+        for end, c in contributions.items():
+            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
+                dead[end] += 1
+                if dead[end] >= 2:
+                    del dead[end]
+            else:
+                dead[end] = 0
         k += step
         i += 1
     return total, calls
 
 
-def _exp_sinh_sum(f, h: float, start: int, step: int) -> tuple[complex, int]:
-    """Sum of w_k f(t_k) over k = start, start+step, ... (both signs of k)
-    of the exp-sinh rule over (0, infinity) at step h, without the factor h,
-    and the number of calls of ``f`` it made."""
-    total = 0.0 + 0.0j
-    calls = 0
-    for direction in (1.0, -1.0):
-        k = start if direction > 0 else max(start, 1)  # the node k = 0 is taken once
-        i = 0
-        dead = 0
-        while k * h <= _TAU_MAX:
-            tau = direction * k * h
-            s = _HALF_PI * math.sinh(tau)
-            if s > 690.0:
-                break
-            t = math.exp(s)
-            w = _HALF_PI * math.cosh(tau) * t
-            calls += 1
-            c = w * f(t)
-            total += c
-            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
-                dead += 1
-                if dead >= 2:
-                    break
-            else:
-                dead = 0
-            k += step
-            i += 1
-    return total, calls
+def _tanh_sinh_node(half: float, tau: float):
+    """The tanh-sinh node and weight over the window (0, 2*half) at tau."""
+    s = _HALF_PI * math.sinh(tau)
+    if abs(s) > 350.0:  # weight below 1e-300; also keeps exp() in range
+        return None
+    x = 2.0 * half / (1.0 + math.exp(-2.0 * s))
+    w = half * _HALF_PI * math.cosh(tau) / math.cosh(s) ** 2
+    if w == 0.0 or x == 0.0 or x == 2.0 * half:
+        return None
+    return x, w
+
+
+def _exp_sinh_node(tau: float):
+    """The exp-sinh node and weight over (0, infinity) at tau."""
+    s = _HALF_PI * math.sinh(tau)
+    if s > 690.0:  # exp(s) near the double range
+        return None
+    t = math.exp(s)
+    return t, _HALF_PI * math.cosh(tau) * t
+
+
+def _first_truncation_point(decay_rate: float) -> float:
+    """The window end T that the truncation-point search starts from."""
+    return max(50.0 / decay_rate, 40.0)
 
 
 def integrate_semi_infinite(
@@ -142,9 +131,11 @@ def integrate_semi_infinite(
     and integrated with tanh-sinh; a negative exponent first goes through
     the substitution t = u^m that flattens the origin singularity.  A
     zero decay rate selects the exp-sinh transform of the full half line.
-    Within a level, each end of the window (t -> 0 and t -> T, or
-    t -> 0 and t -> infinity) stops on its own after two successive
-    contributions at or below 1e-18 of the running sum.
+    Both rules are one trapezoidal level sum over tau in [-6.5, 6.5]
+    and differ only in the node map tau -> (t, weight).  Within a level,
+    each end (t -> 0 and t -> T, or t -> 0 and t -> infinity) stops on
+    its own after two successive contributions at or below 1e-18 of the
+    running sum.
     The levels halve h from 0.5 and are nested: each finer level
     evaluates only its new odd-index nodes, so no node is evaluated
     twice, and ``evaluations`` counts each integrand call once (the
@@ -161,9 +152,9 @@ def integrate_semi_infinite(
         raise DomainError("tolerance must be finite and positive")
     if decay_rate == 0.0:
         tail, evaluations = 0.0, 0
-        level = partial(_exp_sinh_sum, f)
+        level = partial(_level_sum, f, _exp_sinh_node)
     else:
-        T = max(50.0 / decay_rate, 40.0)
+        T = _first_truncation_point(decay_rate)
         tail, evaluations = abs(f(T)) / decay_rate, 1
         while tail > tol / 10.0 and T < 1e6:
             T *= 1.5
@@ -180,7 +171,7 @@ def integrate_semi_infinite(
                 if t == 0.0:  # node so deep that u^m underflows; weight is ~0 there
                     return 0.0
                 return f(t) * _m * u ** (_m - 1)
-        level = partial(_tanh_sinh_sum, g, T ** (1.0 / m) / 2.0)
+        level = partial(_level_sum, g, partial(_tanh_sinh_node, T ** (1.0 / m) / 2.0))
 
     # nested levels: halving h keeps every node and adds the odd-index ones
     raw, calls = level(0.5, 0, 1)
@@ -310,7 +301,7 @@ def j3_integral(p, x, tol) -> complex:
     Raises :class:`DomainError` when the cylinder function would leave its
     series range before the first truncation point."""
     decay = (2.0 * p - x).real / 2.0
-    if x.real * max(50.0 / decay, 40.0) > 500.0:
+    if x.real * _first_truncation_point(decay) > 500.0:
         raise DomainError("decay too slow for the cylinder-function range")
 
     def f(t: float) -> complex:

@@ -262,6 +262,8 @@ class _Series:
     def __init__(self, upper, lower):
         self.upper = tuple(complex(a) for a in upper)
         self.lower = tuple(complex(b) for b in lower)
+        if not all(map(cmath.isfinite, self.upper + self.lower)):
+            raise DomainError(f"pFq needs finite parameters, got {upper} and {lower}")
         self.poles = [b for b in self.lower if is_nonpositive_integer(b)]
         # a terminating upper parameter makes a polynomial, fine for any z
         self.terminating = any(is_nonpositive_integer(a) for a in self.upper)
@@ -473,11 +475,15 @@ def _pfq_at_unit_argument(upper, lower, ctrl):
 def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
     """The one route choice of :func:`hyp_pfq` and
     :func:`hyp_pfq_regularized`: z = 0, the regularized start past the
-    lower-parameter poles, unit argument, or the direct series."""
+    lower-parameter poles, unit argument, or the direct series.  A
+    non-finite parameter (met before its series is kept) or argument
+    raises :class:`DomainError`."""
     ctrl = control or _DEFAULT_CONTROL
     series = _series(upper, lower)
     upper, lower, poles, terminating = series.upper, series.lower, series.poles, series.terminating
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"pFq needs a finite argument, got {z}")
     if poles and not regularized:
         raise DomainError(
             f"lower parameter {poles[0]} is a nonpositive integer; "
@@ -634,10 +640,13 @@ def lower_incomplete_gamma(nu, z) -> complex:
     (ratio at most 1e8) and a finite value gives the result, otherwise
     :class:`DomainError` is raised (as at (0.3, 300i), (0.5, -500) or
     (2, -800)); a series that misses its stop rule within the term
-    budget raises :class:`BudgetError`.
+    budget raises :class:`BudgetError`, and a non-finite ``nu`` or ``z``
+    :class:`DomainError`.
     """
     nu = complex(nu)
     z = complex(z)
+    if not (cmath.isfinite(nu) and cmath.isfinite(z)):
+        raise DomainError(f"lower_incomplete_gamma needs finite arguments, got ({nu}, {z})")
     if z == 0:
         return 0.0 + 0.0j
     is_int = nu.imag == 0.0 and nu.real == round(nu.real)
@@ -742,8 +751,8 @@ def legendre_polynomial(n: int, x) -> complex:
 
 _PCD_ASYMPTOTIC_CUT = 5.85  # Kummer/asymptotic crossover on the real axis
 # The last order of _pcd_kummer and its weights 2^(nu/2), sqrt(pi)/Gamma((1-nu)/2)
-# and 1/Gamma(-nu/2).  One entry (J3 uses nu = 1/3 alone); a NaN order never
-# matches it, and a non-finite one raises before anything is kept.
+# and 1/Gamma(-nu/2).  One entry (J3 uses nu = 1/3 alone); a non-finite order
+# raises at the entry of parabolic_cylinder_d, before anything is kept.
 _PCD_WEIGHTS = [None, None]
 
 
@@ -792,9 +801,12 @@ def parabolic_cylinder_d(nu, z) -> complex:
     below 1e-8 inside it for nu > -1; for nu <= -1 that window misses
     1e-8 (up to 1.9e-5 at nu = -3, z = 5.5).  At nu = 1/3, the order of
     J3, the error stays below 5e-10 over -31.6 <= z <= 20.  Complex z is
-    best effort within the overflow guard.
+    best effort within the overflow guard.  A non-finite ``nu`` or ``z``
+    raises :class:`DomainError`.
     """
     nu, z = complex(nu), complex(z)
+    if not (cmath.isfinite(nu) and cmath.isfinite(z)):
+        raise DomainError(f"parabolic_cylinder_d needs finite arguments, got ({nu}, {z})")
     if z.imag == 0.0 and nu.imag == 0.0 and z.real > _PCD_ASYMPTOTIC_CUT:
         return _pcd_asymptotic(nu, z)
     if abs(z * z) / 2.0 > 600.0:

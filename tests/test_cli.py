@@ -292,6 +292,25 @@ class TestCheckCommand:
                 _evaluate(todo, jobs)
         assert sorted(_evaluate(todo[:3], 2)) == [0, 1, 2]
 
+    @pytest.mark.parametrize("jobs,cpus,used", [(5000, 2, 2), (None, 3, 3), (2, 8, 2), (None, None, 1)])
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, jobs, cpus, used):
+        # nothing is forked: the stand-in for _evaluate records what it gets
+        seen = []
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_evaluate", lambda todo, j: seen.append(j) or [])
+        run_sweep(SweepConfig(identity_ids=("I01",), seed=3), jobs=jobs)
+        assert seen == [used]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, jobs, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "_evaluate", lambda todo, j: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="at least 1"):
+            run_sweep(SweepConfig(identity_ids=("I01",), seed=3), jobs=jobs)
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "I01", "--jobs", str(jobs), "--out", str(out)]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("count,jobs", [(3, 5), (10, 3), (9, 2), (5, 1), (5, 0)])
     def test_shards_cover_every_point_once(self, count, jobs):
         shards = _shards(count, jobs)

@@ -120,6 +120,17 @@ class TestEvalIdentity:
             eval_identity("I01", {"t": 0.2}, -1.0)
 
     @pytest.mark.parametrize(
+        "cid,params",
+        [("I01", {"t": 0.3}), ("J1", {"n": 0, "s": 2.0, "x": 1.0})],
+    )
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, cid, params, tol):
+        # a NaN tol gave I01 a "fail" record and J1 a "skipped_domain" one,
+        # an infinite tol passed any point
+        with pytest.raises(DomainError, match="finite and positive"):
+            eval_identity(cid, params, tol)
+
+    @pytest.mark.parametrize(
         "params,message",
         [
             ({"n": 0, "s": 2, "x": [1, 2]}, "x must be a number"),

@@ -178,6 +178,33 @@ class TestGamma:
             fn(-200.5)
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            # the first four spent a term budget and raised BudgetError, the
+            # last two leaked a bare OverflowError
+            (hyp1f1, (math.nan, 1, 1)),
+            (hyp2f1, (0.5, 1, 2, math.nan)),
+            (parabolic_cylinder_d, (math.nan, 1.0)),
+            (lower_incomplete_gamma, (2, math.nan)),
+            (parabolic_cylinder_d, (1.0 / 3.0, math.inf)),
+            (lower_incomplete_gamma, (math.inf, 1.0)),
+        ],
+        ids=["hyp1f1-a", "hyp2f1-z", "pcd-nu", "lig-z", "pcd-z", "lig-nu"],
+    )
+    def test_raise_domain_error_at_entry(self, fn, args):
+        with pytest.raises(DomainError, match="finite"):
+            fn(*args)
+
+    @pytest.mark.parametrize("upper,lower", [((math.nan,), (1.0,)), ((1.0,), (math.inf,))])
+    def test_non_finite_parameters_are_not_kept(self, upper, lower):
+        before = len(specfun._series_cache)
+        with pytest.raises(DomainError, match="finite parameters"):
+            hyp_pfq(upper, lower, 0.5)
+        assert len(specfun._series_cache) == before
+
+
 class TestHypPfq:
     def test_unity_at_zero(self):
         res = hyp_pfq((0.3 + 1j, 2.5), (1.25,), 0.0)
