@@ -238,7 +238,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
     """Execute the configured sweep and assemble the report.
 
     ``jobs`` counts processes, this one included (default and cap: the
-    machine's CPU count; below 1 raises ``ValueError``).  The points are
+    machine's CPU count).  The points are
     split round-robin over them and the extra processes are forked, so
     call this from a process without threads; a sweep of 8 points or
     fewer, or a platform without ``os.fork``, runs in this process alone.
@@ -252,8 +252,6 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
         tol = config.tolerance if config.tolerance is not None else default_tolerance(cid)
         for params in sweep_points(cid, config):
             todo.append((cid, params, tol))
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cpus = os.cpu_count() or 1
     jobs = cpus if jobs is None else min(jobs, cpus)
     if len(todo) <= 8 or not hasattr(os, "fork"):

@@ -101,10 +101,7 @@ def _tanh_sinh_node(half: float, tau: float):
 
 def _exp_sinh_node(tau: float):
     """The exp-sinh node and weight over (0, infinity) at tau."""
-    s = _HALF_PI * math.sinh(tau)
-    if s > 690.0:  # exp(s) near the double range
-        return None
-    t = math.exp(s)
+    t = math.exp(_HALF_PI * math.sinh(tau))
     return t, _HALF_PI * math.cosh(tau) * t
 
 
