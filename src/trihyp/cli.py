@@ -32,6 +32,7 @@ from .identities import (
     CheckRecord,
     DEFAULT_SEED,
     check_point,
+    coerce_params,
     default_grid,
     eval_identity,
     get_identity,
@@ -154,7 +155,10 @@ def _grid_param_values(name: str, spec) -> list:
 
 
 def sweep_points(check_id: str, config: SweepConfig) -> list:
-    """Parameter points for one check id under the given config."""
+    """Parameter points for one check id under the given config.  A point
+    of an explicit grid is coerced here, so that a bad value raises
+    :class:`DomainError` before any point is evaluated; a default grid is
+    drawn inside its domain."""
     if not config.grid:
         return default_grid(check_id, seed=config.seed)
     names = sorted(config.grid)
@@ -169,7 +173,7 @@ def sweep_points(check_id: str, config: SweepConfig) -> list:
     for i, p in enumerate(points):
         base = dict(fallback[i % len(fallback)])
         base.update(p)
-        out.append(base)
+        out.append(coerce_params(check_id, base))
     return out
 
 
@@ -180,26 +184,16 @@ def _shards(count: int, jobs: int) -> list:
     return [range(i, count, jobs) for i in range(jobs)]
 
 
-def _eval_points(todo: list, indices) -> tuple:
-    """The records of ``todo[i]`` for i in ``indices`` and None or, at the
-    first i whose point raises, the records so far and (i, exception)."""
-    records = []
-    for i in indices:
-        try:
-            records.append(eval_check_point(*todo[i]))
-        except Exception as exc:  # raised again by _evaluate, in this process or the parent
-            return records, (i, exc)
-    return records, None
-
-
 def _evaluate(todo: list, jobs: int) -> list:
     """Records of every point of ``todo``, in shard order.
 
     This process evaluates the first shard; each other shard runs in a
-    child forked for it, which writes its pickled :func:`_eval_points`
-    result to a pipe and leaves by ``os._exit``.  Of the points that
-    raised, the exception of the first in ``todo`` order is raised, as a
-    serial loop would.
+    child forked for it, which writes its pickled records to a pipe and
+    leaves by ``os._exit``.  The points come checked from
+    :func:`sweep_points`, so a point raises only through a defect: in
+    this process the exception propagates, and a child prints its
+    traceback to stderr and exits 1, which raises :class:`RuntimeError`
+    here.
     """
     shards = _shards(len(todo), jobs)
     children = []  # (pid, read end of its pipe)
@@ -211,14 +205,22 @@ def _evaluate(todo: list, jobs: int) -> list:
                 status = 1
                 try:
                     os.close(r)
+                    records = [eval_check_point(*todo[i]) for i in shard]
+                except Exception:
+                    import traceback  # paid for by a failing child alone
+
+                    traceback.print_exc()
+                else:
+                    # EPIPE here (the parent stopped reading) exits quietly
                     with os.fdopen(w, "wb") as fh:
-                        pickle.dump(_eval_points(todo, shard), fh, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(records, fh, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
+                    sys.stderr.flush()
                     os._exit(status)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
-        results = [_eval_points(todo, shards[0])]
+        records = [eval_check_point(*todo[i]) for i in shards[0]]
         payloads = [fh.read() for _, fh in children]
     finally:
         for pid, fh in children:
@@ -227,11 +229,9 @@ def _evaluate(todo: list, jobs: int) -> list:
     for pid, status in statuses:
         if status != 0:
             raise RuntimeError(f"sweep worker {pid} failed (wait status {status})")
-    results += [pickle.loads(p) for p in payloads]
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return [r for records, _ in results for r in records]
+    for p in payloads:
+        records += pickle.loads(p)
+    return records
 
 
 def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
@@ -281,13 +281,12 @@ def _complex_pair(v):
 
 # a record's params in compact JSON with sorted keys, as its sort key and
 # its CSV column hold them (json's C encoder, as no indent is set)
-_params_key = json.JSONEncoder(sort_keys=True, default=_complex_pair).encode
-_params_csv = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                               default=_complex_pair).encode
+_params_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                default=_complex_pair).encode
 
 
 def _record_sort_key(r: CheckRecord):
-    return (r.identity_id, _params_key(r.params))
+    return (r.identity_id, _params_json(r.params))
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +381,7 @@ def report_to_csv(report: Report) -> str:
         lv, rv = r.lhs_value, r.rhs_value
         writer.writerow([
             r.identity_id,
-            _params_csv(r.params),
+            _params_json(r.params),
             "" if lv is None else repr(lv.real),
             "" if lv is None else repr(lv.imag),
             "" if rv is None else repr(rv.real),

@@ -39,7 +39,7 @@ from .specfun import (
     incomplete_beta,
     legendre_p,
     legendre_polynomial,
-    lower_incomplete_gamma,
+    lower_incomplete_gamma_over_power,
     pochhammer,
 )
 from . import quad
@@ -52,6 +52,7 @@ __all__ = [
     "get_identity",
     "eval_identity",
     "check_point",
+    "coerce_params",
     "default_grid",
     "faa_di_bruno_derivative",
     "i13_rhs",
@@ -115,12 +116,9 @@ def _half_bracket(n: int, t) -> complex:
 
 
 def _rhs_i01(t):
-    t = complex(t)
-    if t == 0:
-        return 1.0 + 0.0j
-    if t == 1:
-        return 2.0 + 0.0j
-    return 2.0 / t * (1.0 - cmath.sqrt(1.0 - t))
+    # 2/t (1 - sqrt(1-t)) with the cancelling bracket multiplied out; the
+    # principal sqrt has Re >= 0, so the denominator never vanishes
+    return 2.0 / (1.0 + cmath.sqrt(1.0 - complex(t)))
 
 
 def _rhs_i02(n, t):
@@ -340,17 +338,12 @@ def _i18_sides(n, t):
 
 
 def _rhs_k01(n, z):
-    z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    return n * (-z) ** (-n) * lower_incomplete_gamma(n, -z)
+    return n * lower_incomplete_gamma_over_power(n, -complex(z))
 
 
 def _rhs_k02(n, z):
     z = complex(z)
-    if z == 0:
-        return 1.0 + 0.0j
-    return n * cmath.exp(z) * lower_incomplete_gamma(n, z) / z**n
+    return n * cmath.exp(z) * lower_incomplete_gamma_over_power(n, z)
 
 
 # --------------------------------------------------------------------------
@@ -811,7 +804,13 @@ def get_identity(identity_id: str) -> IdentityDescriptor:
 _NUMBER = (int, float, complex)
 
 
-def _coerce_params(desc: IdentityDescriptor, params: Mapping) -> dict:
+def coerce_params(identity_id: str, params: Mapping) -> dict:
+    """The parameters of one point of the entry as its evaluators take them:
+    an integer parameter as int, a complex one as complex, a tuple one as a
+    tuple of complex.  A missing, unexpected or ill-typed parameter, or a
+    non-integer value of an integer one, raises :class:`DomainError`.
+    Coercing a coerced point returns an equal one."""
+    desc = get_identity(identity_id)
     out = {}
     for spec in desc.params:
         if spec.name not in params:
@@ -879,7 +878,7 @@ def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     desc = get_identity(identity_id)
-    p = _coerce_params(desc, params)
+    p = coerce_params(identity_id, params)
     point = dict(p, tol=tol) if desc.quadrature else p  # what the LHS takes and the record keeps
     skipped = CheckRecord(desc.id, point, None, None, math.nan, math.nan, "skipped_domain")
     if not desc.in_domain(**p):

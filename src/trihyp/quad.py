@@ -199,13 +199,13 @@ def integrate_semi_infinite(
 # --------------------------------------------------------------------------
 
 
-def _power(t: float, exponent) -> complex:
-    """t ** exponent, raising :class:`DomainError` where it leaves the
+def _power(base, exponent) -> complex:
+    """base ** exponent, raising :class:`DomainError` where it leaves the
     double range (as at the deepest tanh-sinh nodes), as gamma does."""
     try:
-        return t**exponent
+        return base**exponent
     except OverflowError:
-        raise DomainError(f"t^{exponent} overflows at t = {t:.6g}") from None
+        raise DomainError(f"({base:.6g})^{exponent} overflows") from None
 
 
 def _quadrature(f, singular_exponent, decay_rate, tol) -> complex:
@@ -271,7 +271,7 @@ def j2_integral(n: int, p, x, tol) -> complex:
         except OverflowError:
             # t^(-1/2-n) overflows only at nodes t < 10^(-308/(n+1/2)), where
             # gamma(n, xt) = (xt)^n / n to about 10^(-308/(n+1/2)) |x|
-            return cmath.exp(-p * t) * t**-0.5 * x**n / n
+            return cmath.exp(-p * t) * t**-0.5 * _power(x, n) / n
 
     return _quadrature(f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
 
@@ -280,13 +280,13 @@ def j2_closed_form(n: int, p, x) -> complex:
     """Piecewise closed form of int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt."""
     p, x = complex(p), complex(x)
     if p == 0:
-        return 2.0 * _SQRT_PI * x ** (n - 0.5) / (2 * n - 1)
+        return 2.0 * _SQRT_PI * _power(x, n - 0.5) / (2 * n - 1)
     # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
-    tail = (-x / p) ** n * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
+    tail = _power(-x / p, n) * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
     return (
         -_SQRT_PI
         * math.factorial(n - 1)
-        * (-p) ** (n - 1)
+        * _power(-p, n - 1)
         / pochhammer(0.5, n)
         * (cmath.sqrt(p + x) * tail)
     )

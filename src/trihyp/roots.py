@@ -234,16 +234,24 @@ def g_function(z) -> complex:
 
 
 def trinomial_closed_roots(n: int, t) -> RootSet:
-    """Closed-form roots of x^n - x + t = 0 for n in {2, 3, 4}."""
+    """Closed-form roots of x^n - x + t = 0 for n in {2, 3, 4}.
+
+    :class:`DomainError` where a root or its residual is not finite (an
+    intermediate of the formula leaves the double range, as at |t| near
+    1e308)."""
     t = complex(t)
-    if n == 2:
-        return quadratic_roots(t)
     inst = TrinomialInstance(n, t)
-    if n == 3:
+    if n == 2:
+        rs = quadratic_roots(t)
+    elif n == 3:
         # x^3 - 3 (1/3) x + 2 (t/2) = 0
         roots = _sorted_roots(_depressed_cubic_roots(1.0 / 3.0, t / 2.0))
-        return RootSet(roots, tuple(residual(inst, x) for x in roots))
-    if n == 4:
-        rs = quartic_roots(0.0, -1.0, t)
-        return RootSet(rs.roots, tuple(residual(inst, x) for x in rs.roots))
-    raise DomainError(f"no closed form implemented for n = {n}")
+        rs = RootSet(roots, tuple(residual(inst, x) for x in roots))
+    elif n == 4:
+        roots = quartic_roots(0.0, -1.0, t).roots
+        rs = RootSet(roots, tuple(residual(inst, x) for x in roots))
+    else:
+        raise DomainError(f"no closed form implemented for n = {n}")
+    if not (all(map(cmath.isfinite, rs.roots)) and all(map(math.isfinite, rs.residuals))):
+        raise DomainError(f"closed-form roots of x^{n} - x + t at t = {t} are not finite")
+    return rs

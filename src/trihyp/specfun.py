@@ -40,6 +40,7 @@ __all__ = [
     "gauss_sum_2f1",
     "whipple_sum_3f2",
     "lower_incomplete_gamma",
+    "lower_incomplete_gamma_over_power",
     "incomplete_beta",
     "legendre_p",
     "legendre_polynomial",
@@ -151,12 +152,14 @@ def pochhammer(a, k: int) -> complex:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1); (a)_0 = 1.
 
     Exactly 0 once a factor is 0 (where a is a nonpositive integer above -k);
-    :class:`DomainError` once the product leaves the double range, which
-    bounds the work for any k.
+    :class:`DomainError` for a non-finite ``a`` and once the product leaves
+    the double range, which bounds the work for any k.
     """
     if k < 0:
         raise DomainError("pochhammer needs k >= 0")
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise DomainError(f"pochhammer needs a finite argument, got {a}")
     if a.real <= 0.0 and is_nonpositive_integer(a) and a.real > -k:
         return 0.0 + 0.0j
     out = 1.0 + 0.0j
@@ -193,12 +196,22 @@ def binomial_remainder(c, k0: int, u, full) -> complex:
     so a bracket ``1 - (truncated series)`` that shrinks like u^k0 is u^k0
     times a value in range at any small u.  Summed term by term where
     |u| <= 0.8, elsewhere as ``full`` (the value of (1-u)^(-c) on the
-    caller's branch) less the head, over u^k0."""
+    caller's branch) less the head, over u^k0.  A non-finite ``c`` or
+    ``u``, or past the cut a value that is not finite, raises
+    :class:`DomainError`."""
     u = complex(u)
+    if not (cmath.isfinite(c) and cmath.isfinite(u)):
+        raise DomainError(f"binomial_remainder needs finite c and u, got ({c}, {u})")
     if abs(u) <= _TAIL_CUT:
         return _binomial_tail(c, k0, u)
-    head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
-    return (full - head) / u**k0
+    try:
+        head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
+        value = (full - head) / u**k0
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"binomial_remainder({c}, {k0}, {u}, {full}) is not finite")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -595,9 +608,9 @@ def _pow(base, exponent) -> complex:
 _INC_GAMMA_MAX_TERMS = 5000
 
 
-def _gamma_series(nu, z):
-    """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), with its largest
-    term and the modulus of its sum."""
+def _gamma_series(nu, z, over_power):
+    """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), without its z^nu
+    when ``over_power``, with its largest term and the modulus of its sum."""
     term = 1.0 / nu
     total = term
     largest = abs(term)
@@ -613,19 +626,58 @@ def _gamma_series(nu, z):
         raise BudgetError(
             f"incomplete gamma series did not converge in {_INC_GAMMA_MAX_TERMS} terms"
         )
+    if over_power:
+        return cmath.exp(-z) * total, largest, abs(total)
     return _pow(z, nu) * cmath.exp(-z) * total, largest, abs(total)
 
 
-def _exp_polynomial_gamma(nu, z):
-    """(n-1)! (1 - e^(-z) e_{n-1}(z)) for integer nu = n, with the size of
-    its largest part and the modulus of the sum, both over (n-1)!."""
+def _exp_polynomial_gamma(nu, z, over_power):
+    """(n-1)! (1 - e^(-z) e_{n-1}(z)) for integer nu = n, over z^n when
+    ``over_power``, with the size of its largest part and the modulus of
+    the sum, both over (n-1)!."""
     n = int(nu.real)
     if z.real > 700.0:
-        return float(math.factorial(n - 1)) + 0.0j, 1.0, 1.0
-    terms = [z**k / math.factorial(k) for k in range(n)]
-    decay = cmath.exp(-z)
-    rest = 1.0 - decay * sum(terms)
-    return math.factorial(n - 1) * rest, 1.0 + abs(decay) * sum(map(abs, terms)), abs(rest)
+        value, largest, total = float(math.factorial(n - 1)) + 0.0j, 1.0, 1.0
+    else:
+        terms = [z**k / math.factorial(k) for k in range(n)]
+        decay = cmath.exp(-z)
+        rest = 1.0 - decay * sum(terms)
+        value, largest, total = (math.factorial(n - 1) * rest,
+                                 1.0 + abs(decay) * sum(map(abs, terms)), abs(rest))
+    return (value / z**n if over_power else value), largest, total
+
+
+def _lower_gamma(nu, z, over_power) -> complex:
+    """The one route choice of :func:`lower_incomplete_gamma` and
+    :func:`lower_incomplete_gamma_over_power`."""
+    nu = complex(nu)
+    z = complex(z)
+    if not (cmath.isfinite(nu) and cmath.isfinite(z)):
+        raise DomainError(f"lower_incomplete_gamma needs finite arguments, got ({nu}, {z})")
+    if z == 0 and not over_power:
+        return 0.0 + 0.0j
+    is_int = nu.imag == 0.0 and nu.real == round(nu.real)
+    if not is_int and nu.real <= 0:
+        raise DomainError("lower_incomplete_gamma needs Re nu > 0 (or integer nu >= 1)")
+    if is_int and nu.real < 1:
+        raise DomainError("integer order must satisfy nu >= 1")
+    if is_int and (z.real > max(30.0, 2.0 * nu.real) or abs(z) > 600):
+        forms = (_exp_polynomial_gamma,)  # saturated, or too large for the series
+    elif abs(z) > 600:
+        raise DomainError("argument too large for the series evaluation")
+    else:
+        forms = (_gamma_series, _exp_polynomial_gamma) if is_int else (_gamma_series,)
+    for form in forms:
+        try:
+            value, largest, total = form(nu, z, over_power)
+        except OverflowError:
+            continue
+        if largest <= 1e8 * total and cmath.isfinite(value):
+            return value
+    raise DomainError(
+        f"lower_incomplete_gamma({nu}, {z}): the evaluation loses more than 8 digits "
+        "to cancellation or overflows"
+    )
 
 
 def lower_incomplete_gamma(nu, z) -> complex:
@@ -643,34 +695,18 @@ def lower_incomplete_gamma(nu, z) -> complex:
     budget raises :class:`BudgetError`, and a non-finite ``nu`` or ``z``
     :class:`DomainError`.
     """
-    nu = complex(nu)
-    z = complex(z)
-    if not (cmath.isfinite(nu) and cmath.isfinite(z)):
-        raise DomainError(f"lower_incomplete_gamma needs finite arguments, got ({nu}, {z})")
-    if z == 0:
-        return 0.0 + 0.0j
-    is_int = nu.imag == 0.0 and nu.real == round(nu.real)
-    if not is_int and nu.real <= 0:
-        raise DomainError("lower_incomplete_gamma needs Re nu > 0 (or integer nu >= 1)")
-    if is_int and nu.real < 1:
-        raise DomainError("integer order must satisfy nu >= 1")
-    if is_int and (z.real > max(30.0, 2.0 * nu.real) or abs(z) > 600):
-        forms = (_exp_polynomial_gamma,)  # saturated, or too large for the series
-    elif abs(z) > 600:
-        raise DomainError("argument too large for the series evaluation")
-    else:
-        forms = (_gamma_series, _exp_polynomial_gamma) if is_int else (_gamma_series,)
-    for form in forms:
-        try:
-            value, largest, total = form(nu, z)
-        except OverflowError:
-            continue
-        if largest <= 1e8 * total and cmath.isfinite(value):
-            return value
-    raise DomainError(
-        f"lower_incomplete_gamma({nu}, {z}): the evaluation loses more than 8 digits "
-        "to cancellation or overflows"
-    )
+    return _lower_gamma(nu, z, over_power=False)
+
+
+def lower_incomplete_gamma_over_power(nu, z) -> complex:
+    """gamma(nu, z) / z^nu, entire in z (1/nu at z = 0): the route of
+    :func:`lower_incomplete_gamma` with its power z^nu never formed, so the
+    value stays in range at tiny |z| where z^nu under- or overflows (as
+    :func:`binomial_remainder` returns a remainder over its leading
+    power).  Raises as :func:`lower_incomplete_gamma` does, and
+    :class:`DomainError` where the exponential-polynomial form's z^n
+    leaves the double range."""
+    return _lower_gamma(nu, z, over_power=True)
 
 
 def incomplete_beta(nu, mu, t) -> complex:
@@ -730,10 +766,13 @@ def legendre_p(nu, mu, x) -> complex:
 
 def legendre_polynomial(n: int, x) -> complex:
     """Legendre polynomial P_n(x) by the three-term recurrence, for n up to
-    10^6 (about 0.35 s); :class:`DomainError` where it leaves the double range."""
+    10^6 (about 0.35 s); :class:`DomainError` for a non-finite ``x`` and
+    where it leaves the double range."""
     if not 0 <= n <= 10**6:
         raise DomainError(f"legendre_polynomial needs 0 <= n <= 10^6, got {n}")
     x = complex(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"legendre_polynomial needs a finite argument, got {x}")
     if n == 0:
         return 1.0 + 0.0j
     p_prev, p = 1.0 + 0.0j, x
@@ -824,12 +863,15 @@ def bell_polynomial(n: int, k: int, xs: Sequence) -> complex:
 
     Standard recurrence
     B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) x_j B_{n-j,k-1},  B_{0,0} = 1.
+    A non-finite argument raises :class:`DomainError`.
     """
     if k < 1 or k > n:
         raise DomainError("bell_polynomial needs 1 <= k <= n")
     if len(xs) < n - k + 1:
         raise DomainError(f"bell_polynomial needs at least {n - k + 1} arguments")
     xs = [complex(v) for v in xs]
+    if not all(map(cmath.isfinite, xs)):
+        raise DomainError(f"bell_polynomial needs finite arguments, got {xs}")
     cache: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
 
     def b(nn: int, kk: int) -> complex:

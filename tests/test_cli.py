@@ -199,6 +199,12 @@ class TestRootsCommand:
     def test_unsupported_degree(self, capsys):
         assert main(["roots", "5", "0.1", "closed"]) == 3
 
+    def test_non_finite_closed_root(self, capsys):
+        # once printed `nan-infi  residual = nan` with exit 0
+        assert main(["roots", "2", "1e308", "closed"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
+
 
 class TestCheckCommand:
     def test_single_identity_grid(self, tmp_path, capsys):
@@ -269,9 +275,11 @@ class TestCheckCommand:
 
     def test_worker_domain_error_reaches_the_caller(self, tmp_path, capsys, monkeypatch):
         # 12 points whose n alternates 0, 0.5 in sweep order: at --jobs 2 every
-        # point with n = 0.5 falls in the forked child's shard; 4 CPUs keep
-        # the cap from running it serially
+        # point with n = 0.5 would fall in the forked child's shard, but the
+        # grid is checked before any fork; 4 CPUs keep the cap from running
+        # it serially
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         grid = ["--grid", "n:0,0.5", "--grid", "s:1,2,3", "--grid", "x:1,1.5"]
         errors = []
         for jobs in ("1", "2"):
@@ -281,20 +289,35 @@ class TestCheckCommand:
             errors.append(capsys.readouterr().err)
         assert "must be an integer" in errors[0] and errors[0] == errors[1]
 
-    def test_first_failing_point_wins(self, monkeypatch):
-        # points 3 and 6 raise, in different shards at jobs = 2; a serial
-        # loop stops at point 3, and so must the split
+    @staticmethod
+    def _defect_at(monkeypatch, bad):
+        """Stand in for eval_check_point: point ``bad`` raises, any other
+        point i gives the record i."""
         def point(i):
-            if i in (3, 6):
-                raise ValueError(f"point {i}")
+            if i == bad:
+                raise ValueError(f"defect at point {i}")
             return i
 
         monkeypatch.setattr(cli, "eval_check_point", point)
-        todo = [(i,) for i in range(12)]
-        for jobs in (1, 2):
-            with pytest.raises(ValueError, match="point 3"):
-                _evaluate(todo, jobs)
+        return [(i,) for i in range(12)]
+
+    def test_a_defect_in_a_forked_shard_prints_its_traceback(self, monkeypatch, capfd):
+        # at jobs = 2 the odd points are the forked child's shard
+        todo = self._defect_at(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match="sweep worker [0-9]+ failed"):
+            _evaluate(todo, 2)
+        err = capfd.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: defect at point 3" in err
         assert sorted(_evaluate(todo[:3], 2)) == [0, 1, 2]
+
+    def test_a_defect_in_this_process_propagates(self, monkeypatch, capfd):
+        # the even points are this process's shard; the child's succeeds
+        todo = self._defect_at(monkeypatch, 4)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="defect at point 4"):
+                _evaluate(todo, jobs)
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("jobs,cpus,used", [(5000, 2, 2), (None, 3, 3), (2, 8, 2), (None, None, 1)])
     def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, jobs, cpus, used):
@@ -410,6 +433,27 @@ class TestCheckGrids:
                      "--jobs", "1", "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
         assert [r["verdict"] for r in records] == ["pass"] * 4
+
+    @pytest.mark.parametrize("ids,grid", [
+        # 2/t (1 - sqrt(1-t)) cancelled: rel_err 8.2e-8, 8.9e-5, 8.3e-8
+        ("I01", ["t:1e-9,1e-12,-1e-10"]),
+        # (-z)^(-n) raised a bare ZeroDivisionError
+        ("K01,K02", ["n:5", "z:1e-70"]),
+    ])
+    def test_tiny_arguments_pass(self, ids, grid, tmp_path):
+        out = tmp_path / "r.json"
+        flags = [f for g in grid for f in ("--grid", g)]
+        assert main(["check", "--ids", ids, *flags, "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert records and all(r["verdict"] == "pass" and r["rel_err"] < 1e-15 for r in records)
+
+    def test_huge_j2_argument_is_skipped(self, tmp_path):
+        # (-x/p)^n and the deep-node x^n once raised a bare OverflowError
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J2", "--grid", "n:2", "--grid", "p:1",
+                     "--grid", "x:1e200", "--out", str(out)]) == 0
+        [rec] = json.loads(out.read_text())["records"]
+        assert rec["verdict"] == "skipped_domain"
 
     @pytest.mark.parametrize("t", ["-1e-200", "-1e-310"])
     def test_i10_power_out_of_range_is_skipped(self, t, tmp_path):

@@ -249,6 +249,30 @@ class TestTinyArgument:
             assert rec.verdict == "pass", rec
             assert rec.rel_err <= 1e-14, rec
 
+    def test_every_identity_keeps_a_verdict(self):
+        # each identity entry at argument 10^-k e^(i phi), for every n in
+        # 0..6, gives a record, and none is a fail (I10, I12 and I14 stay on
+        # their real axis; a point outside an entry's domain is skipped)
+        problems = []
+        for desc in list_identities():
+            if desc.quadrature:
+                continue
+            names = [spec.name for spec in desc.params]
+            real = desc.id in ("I10", "I12", "I14")
+            for k in (1, 2, 4, 8, 12, 16, 20, 40, 80, 150, 200, 300, 310, 320):
+                for phi in (0.0, math.pi) if real else (0.0, math.pi, 0.7, -2.0, math.pi / 2):
+                    arg = 10.0**-k * (math.cos(phi) if real else cmath.exp(1j * phi))
+                    for n in range(7) if "n" in names else (None,):
+                        point = {names[-1]: arg} if n is None else {"n": n, names[-1]: arg}
+                        try:
+                            rec = eval_identity(desc.id, point, desc.tolerance)
+                        except Exception as exc:
+                            problems.append((desc.id, point, repr(exc)))
+                            continue
+                        if rec.verdict == "fail":
+                            problems.append(rec)
+        assert problems == []
+
 
 class TestQuadraticTransformation:
     def test_consistency(self):

@@ -196,6 +196,12 @@ class TestJ2:
         # t^(-1/2-n) overflows at the tanh-sinh nodes nearest t = 0
         assert check_point("J2", {"n": n, "p": 0.5, "x": 0.4}, 1e-6).verdict == "pass"
 
+    @pytest.mark.parametrize("n,p,x", [(2, 1.0, 1e200), (6, 0.0, 1e200), (6, 1e100, 1e-300)])
+    def test_overflowing_power_is_a_domain_error(self, n, p, x):
+        # (-x/p)^n, x^(n-1/2) and (-p)^(n-1) once raised a bare OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            j2_closed_form(n, p, x)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             check_point("J2", {"n": 0, "p": 1.0, "x": 1.0}, 1e-6)

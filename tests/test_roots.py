@@ -154,6 +154,20 @@ class TestQuartic:
             assert abs(f.beta - t / f.gamma) < 1e-12
 
 
+class TestClosedFormRange:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("t", [1e308, -1e308, 1e308j])
+    def test_non_finite_roots_raise(self, n, t):
+        # the formulas' intermediates overflow; the roots came back as nan
+        with pytest.raises(DomainError, match="not finite"):
+            trinomial_closed_roots(n, t)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_large_t_in_range(self, n):
+        rs = trinomial_closed_roots(n, 1e200)
+        assert all(res <= 1e-13 * 1e200 for res in rs.residuals)
+
+
 class TestLagrange:
     def test_catalan_oracle(self):
         # (2k)! / (k! (k+1)!) are the Catalan numbers

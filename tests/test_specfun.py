@@ -25,6 +25,7 @@ from trihyp.specfun import (
     legendre_p,
     legendre_polynomial,
     lower_incomplete_gamma,
+    lower_incomplete_gamma_over_power,
     parabolic_cylinder_d,
     pochhammer,
     rgamma,
@@ -190,12 +191,25 @@ class TestNonFiniteArguments:
             (lower_incomplete_gamma, (2, math.nan)),
             (parabolic_cylinder_d, (1.0 / 3.0, math.inf)),
             (lower_incomplete_gamma, (math.inf, 1.0)),
+            # the next two returned nan+nanj, the last two raised a
+            # DomainError that said "overflows"
+            (binomial_remainder, (0.5, 2, math.nan, 1.0)),
+            (bell_polynomial, (3, 2, [math.nan] * 3)),
+            (legendre_polynomial, (10**6, math.nan)),
+            (pochhammer, (math.nan, 5)),
         ],
-        ids=["hyp1f1-a", "hyp2f1-z", "pcd-nu", "lig-z", "pcd-z", "lig-nu"],
+        ids=["hyp1f1-a", "hyp2f1-z", "pcd-nu", "lig-z", "pcd-z", "lig-nu",
+             "binomial-remainder-u", "bell-xs", "legendre-poly-x", "pochhammer-a"],
     )
     def test_raise_domain_error_at_entry(self, fn, args):
         with pytest.raises(DomainError, match="finite"):
             fn(*args)
+
+    @pytest.mark.parametrize("u,full", [(1e200, 1.0), (2.0, math.inf)])
+    def test_binomial_remainder_past_the_cut_stays_finite(self, u, full):
+        # u**k0 once leaked a bare OverflowError; a non-finite ``full`` gave inf
+        with pytest.raises(DomainError, match="is not finite"):
+            binomial_remainder(0.5, 2, u, full)
 
     @pytest.mark.parametrize("upper,lower", [((math.nan,), (1.0,)), ((1.0,), (math.inf,))])
     def test_non_finite_parameters_are_not_kept(self, upper, lower):
@@ -471,6 +485,26 @@ class TestIncompleteGamma:
         # gamma(2, -800) is about 800 e^800; 199! and 1000^199 overflow a double
         with pytest.raises(DomainError, match="8 digits"):
             lower_incomplete_gamma(n, z)
+
+    @pytest.mark.parametrize("nu,z,value", [(150, 701.0, 3.8089226376305697e260), (5, 1e100, 24.0)])
+    def test_saturated_values_keep_their_power(self, nu, z, value):
+        # z^nu alone leaves the double range here, so neither is z^nu times
+        # the power-free value
+        assert rel(lower_incomplete_gamma(nu, z), value) < 1e-14
+
+    @pytest.mark.parametrize("nu,z", [(1, 0.3), (3, 2.0), (2, -5 + 4j), (0.7, 1.5 - 2j), (4, 45.0),
+                                      (1, -50.0)])
+    def test_over_power_is_the_quotient(self, nu, z):
+        # the exponential-polynomial form serves (4, 45) and (1, -50)
+        assert rel(lower_incomplete_gamma_over_power(nu, z),
+                   lower_incomplete_gamma(nu, z) / complex(z) ** nu) < 1e-14
+
+    @pytest.mark.parametrize("z", [0.0, 1e-320, -1e-200, 1e-70j, 1e-20 - 1e-20j])
+    def test_over_power_at_tiny_argument(self, z):
+        # gamma(nu, z) / z^nu = 1/nu - z/(nu+1) + ..., where z^nu under- or
+        # overflows and a quotient of subnormals loses every digit
+        for nu in (1, 4, 2.5):
+            assert rel(lower_incomplete_gamma_over_power(nu, z), 1.0 / nu) < 1e-15
 
     @pytest.mark.parametrize("nu,z", [(0.3, 300j), (0.5, -500.0), (0.5, 550 + 200j), (200.5, 500.0)])
     def test_cancellation_or_overflow_raises(self, nu, z):
