@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
 from .specfun import (
+    _pow,
     binomial_remainder,
     gamma,
     hyp_pfq,
@@ -199,15 +200,6 @@ def integrate_semi_infinite(
 # --------------------------------------------------------------------------
 
 
-def _power(base, exponent) -> complex:
-    """base ** exponent, raising :class:`DomainError` where it leaves the
-    double range (as at the deepest tanh-sinh nodes), as gamma does."""
-    try:
-        return base**exponent
-    except OverflowError:
-        raise DomainError(f"({base:.6g})^{exponent} overflows") from None
-
-
 def _quadrature(f, singular_exponent, decay_rate, tol) -> complex:
     """The integral of ``f`` to a tenth of the check tolerance ``tol``."""
     return integrate_semi_infinite(f, tol / 10.0, singular_exponent, decay_rate).value
@@ -218,7 +210,7 @@ def laplace_integral(a, b, alpha, s, x, tol) -> complex:
 
     def f(t: float) -> complex:
         df = hyp_pfq(a, b, x * t).value
-        return cmath.exp(-s * t) * _power(t, alpha - 1.0) * df
+        return cmath.exp(-s * t) * _pow(t, alpha - 1.0) * df
 
     # for p = q the integrand grows like e^(x t)
     decay = (s - x).real if len(a) == len(b) and x.real > 0 else 0.6 * s.real
@@ -248,7 +240,7 @@ def j1_integral(n: int, s, x, tol) -> complex:
     once the incomplete gamma saturates."""
 
     def f(t: float) -> complex:
-        return cmath.exp(-s * t) * _power(t, -1.5) * lower_incomplete_gamma(n + 1, x * t)
+        return cmath.exp(-s * t) * _pow(t, -1.5) * lower_incomplete_gamma(n + 1, x * t)
 
     return _quadrature(f, -0.5, min(s.real, (s + x).real), tol)
 
@@ -271,7 +263,7 @@ def j2_integral(n: int, p, x, tol) -> complex:
         except OverflowError:
             # t^(-1/2-n) overflows only at nodes t < 10^(-308/(n+1/2)), where
             # gamma(n, xt) = (xt)^n / n to about 10^(-308/(n+1/2)) |x|
-            return cmath.exp(-p * t) * t**-0.5 * _power(x, n) / n
+            return cmath.exp(-p * t) * t**-0.5 * _pow(x, n) / n
 
     return _quadrature(f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
 
@@ -280,13 +272,13 @@ def j2_closed_form(n: int, p, x) -> complex:
     """Piecewise closed form of int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt."""
     p, x = complex(p), complex(x)
     if p == 0:
-        return 2.0 * _SQRT_PI * _power(x, n - 0.5) / (2 * n - 1)
+        return 2.0 * _SQRT_PI * _pow(x, n - 0.5) / (2 * n - 1)
     # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
-    tail = _power(-x / p, n) * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
+    tail = _pow(-x / p, n) * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
     return (
         -_SQRT_PI
         * math.factorial(n - 1)
-        * _power(-p, n - 1)
+        * _pow(-p, n - 1)
         / pochhammer(0.5, n)
         * (cmath.sqrt(p + x) * tail)
     )

@@ -13,7 +13,9 @@ are accepted anywhere and promoted.  Inside, the series loop carries a
 arithmetic on them, at about half the cost) and a ``complex`` otherwise.
 Its term ratios are kept per parameter pair in a table of bounded size
 that every call shares; each ratio is computed from the parameters and
-its index alone, so no value depends on the table's state.
+its index alone, so no value depends on the table's state.  The same
+loop sums the elementary brackets ``1 - (truncated binomial series)``
+of the identity catalog through :func:`binomial_remainder`.
 """
 
 from __future__ import annotations
@@ -134,12 +136,15 @@ def rgamma(z) -> complex:
     """Reciprocal gamma, entire: returns exactly 0 at the poles of gamma,
     and 0 where gamma overflows at Re z >= 1/2.  :class:`DomainError` is
     raised for a non-finite ``z`` and where 1/gamma itself overflows (real
-    z below about -170.6)."""
+    z below about -170.6, and far off the real axis, where gamma underflows
+    to 0)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     try:
         return 1.0 / gamma(z)
+    except ZeroDivisionError:  # gamma underflows to 0 (far off the real axis)
+        raise DomainError(f"1/gamma overflows at z = {z}") from None
     except DomainError:
         if cmath.isfinite(z) and z.real >= 0.5:
             return 0.0 + 0.0j  # below the double range
@@ -169,49 +174,6 @@ def pochhammer(a, k: int) -> complex:
         if not cmath.isfinite(out):
             raise DomainError(f"pochhammer({a}, {k}) overflows")
     return out
-
-
-def _binomial_tail(c, k0: int, u) -> complex:
-    """sum_{k >= k0} (c)_k u^(k-k0) / k!  by term recurrence (needs |u| < 1);
-    a sum not converged in 4000 terms raises :class:`BudgetError`."""
-    c, u = complex(c), complex(u)
-    term = pochhammer(c, k0) / math.factorial(k0)
-    total = term
-    k = k0
-    for _ in range(4000):
-        term *= (c + k) * u / (k + 1)
-        total += term
-        k += 1
-        if abs(term) <= 1e-17 * abs(total) + 1e-300:
-            return total
-    raise BudgetError(f"binomial tail did not converge in {k - k0} terms", best=total)
-
-
-_TAIL_CUT = 0.8  # sum the remainder term by term while |u| is at most this
-
-
-def binomial_remainder(c, k0: int, u, full) -> complex:
-    """sum_{k >= k0} (c)_k u^(k-k0) / k! = (c)_k0/k0! 2F1(c+k0, 1; k0+1; u):
-    the binomial series of (1-u)^(-c) less its head, over its leading power,
-    so a bracket ``1 - (truncated series)`` that shrinks like u^k0 is u^k0
-    times a value in range at any small u.  Summed term by term where
-    |u| <= 0.8, elsewhere as ``full`` (the value of (1-u)^(-c) on the
-    caller's branch) less the head, over u^k0.  A non-finite ``c`` or
-    ``u``, or past the cut a value that is not finite, raises
-    :class:`DomainError`."""
-    u = complex(u)
-    if not (cmath.isfinite(c) and cmath.isfinite(u)):
-        raise DomainError(f"binomial_remainder needs finite c and u, got ({c}, {u})")
-    if abs(u) <= _TAIL_CUT:
-        return _binomial_tail(c, k0, u)
-    try:
-        head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
-        value = (full - head) / u**k0
-    except OverflowError:
-        value = math.inf
-    if not cmath.isfinite(value):
-        raise DomainError(f"binomial_remainder({c}, {k0}, {u}, {full}) is not finite")
-    return value
 
 
 # --------------------------------------------------------------------------
@@ -360,9 +322,10 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
     of (upper, lower) that every call shares.
 
     The loop runs on floats while every operand is real and on complex
-    numbers otherwise.  The sum starts at k = 0 with t_0 = 1, or, where a
-    lower parameter is a nonpositive integer, past every such pole at the
-    ``start_term`` the regularized evaluator gives.  No convergence
+    numbers otherwise.  The sum starts at k = 0 with t_0 = 1, or with
+    t_0 = ``start_term`` where one is given: the scale (c)_k0/k0! of a
+    binomial remainder, or, where a lower parameter is a nonpositive
+    integer, the regularized term past every such pole.  No convergence
     prechecks happen here; a sum that misses the stop rule within the
     term budget or leaves the double range raises :class:`BudgetError`
     with the partial sum as ``best``, and a product of lower-parameter
@@ -402,6 +365,37 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
     except OverflowError:  # abs() of a complex term past the double range
         raise _unconverged(upper, lower, n, total, term, _OUT_OF_RANGE) from None
     raise _unconverged(upper, lower, n, total, term)
+
+
+_TAIL_CUT = 0.8  # sum the remainder as a series while |u| is at most this
+# the remainder's stop rule: one term at or below 1e-17 of the partial sum
+_TAIL_CONTROL = SeriesControl(rel_tol=1e-17, max_terms=4000, consecutive_small=1)
+
+
+def binomial_remainder(c, k0: int, u, full) -> complex:
+    """sum_{k >= k0} (c)_k u^(k-k0) / k! = (c)_k0/k0! 2F1(c+k0, 1; k0+1; u):
+    the binomial series of (1-u)^(-c) less its head, over its leading power,
+    so a bracket ``1 - (truncated series)`` that shrinks like u^k0 is u^k0
+    times a value in range at any small u.  Summed by the series engine
+    where |u| <= 0.8 (a sum not converged in 4000 terms raises its
+    :class:`BudgetError`), elsewhere as ``full`` (the value of (1-u)^(-c)
+    on the caller's branch) less the head, over u^k0.  A non-finite ``c``
+    or ``u``, or past the cut a value that is not finite, raises
+    :class:`DomainError`."""
+    u = complex(u)
+    if not (cmath.isfinite(c) and cmath.isfinite(u)):
+        raise DomainError(f"binomial_remainder needs finite c and u, got ({c}, {u})")
+    if abs(u) <= _TAIL_CUT:
+        start = pochhammer(c, k0) / math.factorial(k0)
+        return _sum_series((c + k0, 1.0), (k0 + 1.0,), u, _TAIL_CONTROL, start_term=start).value
+    try:
+        head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
+        value = (full - head) / u**k0
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(f"binomial_remainder({c}, {k0}, {u}, {full}) is not finite")
+    return value
 
 
 def gauss_sum_2f1(a, b, c) -> complex:
@@ -524,10 +518,17 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
             for a in upper:
                 term *= a + j
             term *= z / (j + 1)
-        # every surviving term has z^k with k >= 1, and a terminating upper
-        # parameter kills every survivor
-        if term == 0:
-            return SeriesResult(0.0 + 0.0j, 0, True, 0.0)
+            # every surviving term has z^k with k >= 1, and a terminating
+            # upper parameter kills every survivor; 0 is also the value
+            # below the double range.  Leaving here bounds the loop for a
+            # start_k as large as 10^300.
+            if term == 0:
+                return SeriesResult(0.0 + 0.0j, 0, True, 0.0)
+            if not cmath.isfinite(term):
+                raise DomainError(
+                    f"{p}F{q} regularized series: its first term past the pole of lower "
+                    f"parameter {min(poles, key=lambda b: b.real)} leaves the double range"
+                )
         for b in lower:
             term *= rgamma(b + series.start_k)
         return _sum_series(upper, lower, z, ctrl, start_term=term)
@@ -598,16 +599,23 @@ def hyp3f2(a1, a2, a3, b1, b2, z, control=None) -> complex:
 
 def _pow(base, exponent) -> complex:
     """Principal power, but exact integer exponentiation when possible
-    (keeps (-z)**n off the branch cut)."""
+    (keeps (-z)**n off the branch cut); :class:`DomainError` where it
+    leaves the double range."""
     e = complex(exponent)
-    if e.imag == 0.0 and e.real == round(e.real) and abs(e.real) <= 512:
-        return complex(base) ** int(e.real)
-    return complex(base) ** e
+    try:
+        if e.imag == 0.0 and e.real == round(e.real) and abs(e.real) <= 512:
+            return complex(base) ** int(e.real)
+        return complex(base) ** e
+    except OverflowError:
+        raise DomainError(f"({base:.6g})^{exponent} overflows") from None
 
 
 _INC_GAMMA_MAX_TERMS = 5000
 
 
+# A loop of its own, not the series engine: there, K02's RHS would read the
+# ratio table of its LHS 1F1(1; 1+n; z) and agree with it more closely while
+# checking nothing new.  It can join the engine once K02's RHS is elementary.
 def _gamma_series(nu, z, over_power):
     """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), without its z^nu
     when ``over_power``, with its largest term and the modulus of its sum."""
@@ -670,7 +678,7 @@ def _lower_gamma(nu, z, over_power) -> complex:
     for form in forms:
         try:
             value, largest, total = form(nu, z, over_power)
-        except OverflowError:
+        except (OverflowError, DomainError):  # DomainError: the series' z^nu overflows
             continue
         if largest <= 1e8 * total and cmath.isfinite(value):
             return value
@@ -727,7 +735,11 @@ def incomplete_beta(nu, mu, t) -> complex:
         if is_nonpositive_integer(mu):
             raise DivergenceError("B(nu, mu, 1) has a pole at nonpositive integer mu")
         return gamma(nu) * gamma(mu) * rgamma(nu + mu)
-    return _pow(t, nu) / nu * hyp2f1(nu, 1.0 - mu, nu + 1.0, t)
+    series = hyp2f1(nu, 1.0 - mu, nu + 1.0, t)  # checks t before t^nu can overflow
+    value = _pow(t, nu) / nu * series
+    if not cmath.isfinite(value):
+        raise DomainError(f"incomplete_beta({nu}, {mu}, {t}) is not finite")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -758,9 +770,9 @@ def legendre_p(nu, mu, x) -> complex:
         raise DomainError("argument outside the series domain |1-x| < 2")
     ferrers = x.imag == 0.0 and -1.0 < x.real < 1.0
     if ferrers:
-        pref = ((1.0 + x) / (1.0 - x)) ** (mu / 2.0)
+        pref = _pow((1.0 + x) / (1.0 - x), mu / 2.0)
     else:
-        pref = ((x + 1.0) / (x - 1.0)) ** (mu / 2.0)
+        pref = _pow((x + 1.0) / (x - 1.0), mu / 2.0)
     return pref * hyp_pfq_regularized((nu + 1.0, -nu), (1.0 - mu,), w).value
 
 
@@ -847,10 +859,14 @@ def parabolic_cylinder_d(nu, z) -> complex:
     if not (cmath.isfinite(nu) and cmath.isfinite(z)):
         raise DomainError(f"parabolic_cylinder_d needs finite arguments, got ({nu}, {z})")
     if z.imag == 0.0 and nu.imag == 0.0 and z.real > _PCD_ASYMPTOTIC_CUT:
-        return _pcd_asymptotic(nu, z)
-    if abs(z * z) / 2.0 > 600.0:
+        value = _pcd_asymptotic(nu, z)
+    elif abs(z * z) / 2.0 > 600.0:
         raise DomainError("parabolic_cylinder_d: |z^2|/2 too large, would overflow")
-    return _pcd_kummer(nu, z)
+    else:
+        value = _pcd_kummer(nu, z)
+    if not cmath.isfinite(value):
+        raise DomainError(f"parabolic_cylinder_d({nu}, {z}) is not finite")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -858,12 +874,17 @@ def parabolic_cylinder_d(nu, z) -> complex:
 # --------------------------------------------------------------------------
 
 
+_BELL_MAX_PRODUCTS = 10**5  # about 0.2 s
+
+
 def bell_polynomial(n: int, k: int, xs: Sequence) -> complex:
     """Partial exponential Bell polynomial B_{n,k}(x_1, ..., x_{n-k+1}).
 
     Standard recurrence
-    B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) x_j B_{n-j,k-1},  B_{0,0} = 1.
-    A non-finite argument raises :class:`DomainError`.
+    B_{n,k} = sum_{j=1}^{n-k+1} C(n-1, j-1) x_j B_{n-j,k-1},  B_{0,0} = 1,
+    filled one k at a time.  A non-finite argument, a table of more than
+    10^5 products and a value that leaves the double range raise
+    :class:`DomainError`.
     """
     if k < 1 or k > n:
         raise DomainError("bell_polynomial needs 1 <= k <= n")
@@ -872,19 +893,22 @@ def bell_polynomial(n: int, k: int, xs: Sequence) -> complex:
     xs = [complex(v) for v in xs]
     if not all(map(cmath.isfinite, xs)):
         raise DomainError(f"bell_polynomial needs finite arguments, got {xs}")
-    cache: dict[tuple[int, int], complex] = {(0, 0): 1.0 + 0.0j}
-
-    def b(nn: int, kk: int) -> complex:
-        if kk == 0:
-            return 1.0 + 0.0j if nn == 0 else 0.0 + 0.0j
-        if nn < kk:
-            return 0.0 + 0.0j
-        key = (nn, kk)
-        if key not in cache:
-            cache[key] = sum(
-                math.comb(nn - 1, j - 1) * xs[j - 1] * b(nn - j, kk - 1)
-                for j in range(1, nn - kk + 2)
-            )
-        return cache[key]
-
-    return b(n, k)
+    width = n - k + 1
+    if (k - 1) * width * (width + 1) // 2 + width > _BELL_MAX_PRODUCTS:
+        raise DomainError(
+            "bell_polynomial: the table for this n and k needs more than 10^5 products"
+        )
+    row = [1.0 + 0.0j] + [0.0 + 0.0j] * (n - k)  # B_{i,0}, i = 0..n-k
+    try:
+        for kk in range(1, k + 1):
+            # B_{kk+i,kk} from the row of kk-1; the last row needs i = n-k alone
+            row = [
+                sum(math.comb(kk + i - 1, j - 1) * xs[j - 1] * row[i + 1 - j]
+                    for j in range(1, i + 2))
+                for i in range(0 if kk < k else n - k, n - k + 1)
+            ]
+    except OverflowError:  # a binomial coefficient past the double range
+        row = [math.inf]
+    if not cmath.isfinite(row[-1]):
+        raise DomainError(f"bell_polynomial({n}, {k}) leaves the double range")
+    return row[-1]

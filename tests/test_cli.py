@@ -1,9 +1,12 @@
+import cmath
 import json
 import math
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -182,6 +185,81 @@ class TestEvalCommand:
     def test_registry_values(self, args, printed, capsys):
         assert main(["eval", *args]) == 0
         assert capsys.readouterr().out.strip() == printed
+
+
+_EXTREMES = ("0", "1", "-1", "1.5", "3000", "-3000", "1e300", "-1e300", "1e-320", "700i")
+
+# every call once printed a traceback, a non-finite value or ran until killed
+_EXTREME_CASES = [
+    ["pcd", "3000", "1"],
+    ["pcd", "1.5", "1e300"],
+    ["pcd", "0", "1e300"],
+    ["beta_inc", "3000", "1", "3000"],
+    ["beta_inc", "1e-320", "1", "1e300"],
+    ["legendre_p", "700i", "3000", "1.5"],
+    ["legendre_p", "1e-320", "700i", "0"],
+    ["legendre_p", "1.5", "1e300", "0"],
+    ["2f1", "700i", "1", "1.5", "1"],
+    ["bell", "3000", "3000", "3000"],
+]
+
+# runs each argument list (read as JSON from stdin) through cli.main and
+# writes one JSON line per call as it ends, so a call that hangs is the one
+# after the last line
+_EXTREMES_CHILD = """
+import contextlib, io, json, sys, time
+from trihyp.cli import main
+for args in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", args[0], "--", *args[1:]])
+    except BaseException as exc:
+        code = f"{type(exc).__name__}: {exc}"
+    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]),
+          flush=True)
+"""
+
+
+def _extreme_calls():
+    """Every ``eval`` function on arguments drawn from _EXTREMES: all of
+    them for up to two arguments, 40 seeded draws otherwise."""
+    rng = Random(20260811)
+    calls = list(_EXTREME_CASES)
+    for name, (_, arity) in cli._EVAL_REGISTRY.items():
+        count = arity if arity > 0 else 1 - arity  # bell: n, k and one x
+        if count <= 2:
+            calls += [[name, *args] for args in product(_EXTREMES, repeat=count)]
+        else:
+            calls += [[name, *(rng.choice(_EXTREMES) for _ in range(count))] for _ in range(40)]
+    return calls
+
+
+def test_eval_at_extreme_arguments_prints_a_finite_value_or_an_error():
+    # a subprocess with a timeout, so that a call that hangs fails the test;
+    # "--" lets argparse take -1e300 as an argument and not as an option
+    calls = _extreme_calls()
+    src = str(Path(trihyp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        out = subprocess.run([sys.executable, "-c", _EXTREMES_CHILD], input=json.dumps(calls),
+                             env=env, capture_output=True, text=True, timeout=30).stdout
+    except subprocess.TimeoutExpired as exc:
+        done = (exc.stdout or b"").count(b"\n")
+        pytest.fail(f"eval {' '.join(calls[done])} did not return")
+    lines = out.splitlines()
+    assert len(lines) == len(calls)
+    for args, line in zip(calls, lines):
+        code, printed, message, seconds = json.loads(line)
+        call = f"eval {' '.join(args)}"
+        assert seconds < 2.0, call
+        if code == 0:
+            assert message == "" and cmath.isfinite(parse_complex(printed)), (call, printed)
+        else:
+            assert code in (2, 3), (call, code)
+            assert printed == "" and message.startswith("error: "), (call, message)
+            assert "Traceback" not in message, (call, message)
 
 
 class TestRootsCommand:

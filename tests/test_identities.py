@@ -16,7 +16,7 @@ from trihyp.identities import (
     list_identities,
 )
 from trihyp.roots import g_function
-from trihyp.specfun import _binomial_tail, gamma, hyp2f1, pochhammer
+from trihyp.specfun import gamma, hyp2f1, pochhammer
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -147,18 +147,6 @@ class TestEvalIdentity:
         params = {"a": (1, None), "b": (2,), "alpha": 1, "s": 2, "x": 0.5}
         with pytest.raises(DomainError, match="a must be a list of numbers"):
             eval_identity("J0", params, 1e-7)
-
-
-class TestBinomialTail:
-    def test_converged_sum(self):
-        # sum_{k >= 1} (1/2)_k u^(k-1) / k! = ((1 - u)^(-1/2) - 1) / u
-        assert rel(_binomial_tail(0.5, 1, 0.5), (2.0**0.5 - 1.0) / 0.5) < 1e-15
-
-    def test_budget_raises(self):
-        # near u = 1 the terms fall like k^(-1/2) u^k: 4000 terms reach 61.9 of the 99.0
-        with pytest.raises(BudgetError, match="did not converge in 4000 terms") as err:
-            _binomial_tail(0.5, 1, 0.9999)
-        assert abs(err.value.best - 61.9) < 0.1
 
 
 class TestCheckGrid:

@@ -80,6 +80,37 @@ def _catalog_remainders():
             yield c, n + 1
 
 
+def _binomial_tail(c, k0, u):
+    """The term-by-term loop that summed the remainder below the cut before
+    it went through the series engine, kept as a reference."""
+    c, u = complex(c), complex(u)
+    term = pochhammer(c, k0) / math.factorial(k0)
+    total = term
+    k = k0
+    for _ in range(4000):
+        term *= (c + k) * u / (k + 1)
+        total += term
+        k += 1
+        if abs(term) <= 1e-17 * abs(total) + 1e-300:
+            return total
+    raise AssertionError(f"the reference loop did not converge at {(c, k0, u)}")
+
+
+def _remainder_points(count=3000):
+    """Seeded points of the bracket sites' shape: the five (c, k0) families
+    with n = 0..6 and |u| <= 0.8, 30% of them real."""
+    rng = Random(20260811)
+    for _ in range(count):
+        n = rng.randint(0, 6)
+        c = rng.choice((-0.5, 0.5, 0.5 - n, -n - 0.5, n + 1.0))
+        r = 0.8 * math.sqrt(rng.random())
+        if rng.random() < 0.3:
+            u = complex(rng.choice((r, -r)))
+        else:
+            u = r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield c, n + 1, u
+
+
 class TestBinomialRemainder:
     @pytest.mark.parametrize("c,k0", list(_catalog_remainders()))
     # either side of the 0.8 cut, and far below underflow of u^k0
@@ -97,6 +128,21 @@ class TestBinomialRemainder:
                     ref = complex(((1 - w) ** (-c) - head) / w**k0)
             got = binomial_remainder(c, k0, u, (1.0 - u) ** (-c))
             assert abs(got - ref) <= 1e-12 * abs(ref), (u, got, ref)
+
+    def test_engine_sum_matches_the_former_loop(self):
+        for c, k0, u in _remainder_points():
+            ref = _binomial_tail(c, k0, u)
+            got = binomial_remainder(c, k0, u, math.nan)
+            assert abs(got - ref) <= 1e-14 * abs(ref), (c, k0, u, got, ref)
+
+    def test_engine_sum_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for c, k0, u in _remainder_points():
+                ref = complex(mpmath.rf(c, k0) / mpmath.factorial(k0)
+                              * mpmath.hyp2f1(c + k0, 1, k0 + 1, mpmath.mpc(u)))
+                got = binomial_remainder(c, k0, u, math.nan)
+                assert abs(got - ref) <= 1e-14 * abs(ref), (c, k0, u, got, ref)
 
     def test_printed_form_only_past_the_cut(self):
         # inside the cut the remainder ignores ``full``; past it, it is full
@@ -166,6 +212,11 @@ class TestGamma:
         # 1/gamma(-200.5) = sin(-200.5 pi) gamma(201.5) / pi is beyond the double range
         with pytest.raises(DomainError, match="overflows"):
             rgamma(-200.5)
+
+    def test_reciprocal_where_gamma_underflows_is_domain_error(self):
+        # |gamma(1.5 - 700i)| ~ 1e-475 rounds to 0; 1/0 once raised a bare ZeroDivisionError
+        with pytest.raises(DomainError, match=r"1/gamma overflows at z = \(1\.5-700j\)"):
+            rgamma(1.5 - 700j)
 
     @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
     def test_reciprocal_non_finite_argument(self, z):
@@ -430,6 +481,13 @@ class TestRegularized:
         res = hyp_pfq_regularized((), (-200,), 0.5)
         assert res.value == 0 and res.converged
 
+    def test_start_term_past_a_pole_near_minus_1e300_returns_at_once(self):
+        # the running product once took one step per index up to 10^300;
+        # P_1^m = 0 for integer m > 1, and the product meets its factor 0
+        assert legendre_p(1, 1e300, 0) == 0
+        with pytest.raises(DomainError, match=r"lower parameter \(-1e\+300\+0j\) leaves"):
+            hyp_pfq_regularized((1, 1), (-1e300,), 0.5)
+
 
 class TestIncompleteGamma:
     def test_order_one(self):
@@ -480,9 +538,11 @@ class TestIncompleteGamma:
             ref = complex(mpmath.gammainc(n, 0, z))
         assert abs(lower_incomplete_gamma(n, z) - ref) <= 1e-10 * abs(ref)
 
-    @pytest.mark.parametrize("n,z", [(2, -800.0), (200, 500.0), (200, 1000j)])
+    @pytest.mark.parametrize("n,z", [(2, -800.0), (200, 500.0), (200, 1000j), (150, 250.0)])
     def test_integer_order_overflow_raises(self, n, z):
-        # gamma(2, -800) is about 800 e^800; 199! and 1000^199 overflow a double
+        # gamma(2, -800) is about 800 e^800; 199! and 1000^199 overflow a
+        # double; 250^150 overflows the series' power and 250^149 the
+        # polynomial form, which the series must still fall back to
         with pytest.raises(DomainError, match="8 digits"):
             lower_incomplete_gamma(n, z)
 
@@ -531,6 +591,14 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             incomplete_beta(-1.0, 0.5, 0.3)
 
+    @pytest.mark.parametrize("nu,mu,t,message", [
+        (1e-320, 1, 1e300, "is not finite"),  # 1/nu overflows; once inf+nanj
+        (3000, 1, 3000, "overflows"),  # t^nu; once a bare OverflowError
+    ])
+    def test_out_of_range_is_domain_error(self, nu, mu, t, message):
+        with pytest.raises(DomainError, match=message):
+            incomplete_beta(nu, mu, t)
+
 
 class TestLegendre:
     def test_degree_one(self):
@@ -551,6 +619,11 @@ class TestLegendre:
     def test_branch_point(self):
         with pytest.raises(DomainError):
             legendre_p(0.3, 0.5, 1.0)
+
+    def test_overflowing_prefactor_is_domain_error(self):
+        # 5^1500; once a bare OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            legendre_p(700j, 3000, 1.5)
 
     @given(
         st.floats(min_value=-1.5, max_value=1.5),
@@ -588,6 +661,15 @@ class TestLegendre:
 
 
 class TestParabolicCylinder:
+    @pytest.mark.parametrize("nu,z,message", [
+        (0, 1e300, "is not finite"),  # z^2 overflows; once nan+nanj
+        (3000, 1, "overflows"),  # 2^1500; once a bare OverflowError
+        (1.5, 1e300, "overflows"),  # z^nu; once a bare OverflowError
+    ])
+    def test_out_of_range_is_domain_error(self, nu, z, message):
+        with pytest.raises(DomainError, match=message):
+            parabolic_cylinder_d(nu, z)
+
     def test_order_zero(self):
         for z in (0.4, -3.0, 11.0, 1.0 + 2.0j):
             assert rel(parabolic_cylinder_d(0, z), cmath.exp(-z * z / 4)) < 1e-12
@@ -719,6 +801,14 @@ class TestBellPolynomial:
                     1 for p in _set_partitions(list(range(n))) if len(p) == k
                 )
                 assert bell_polynomial(n, k, [1.0] * (n - k + 1)).real == pytest.approx(count)
+
+    def test_deep_table(self):
+        # 3000 rows; the recursive table once hit the recursion limit
+        assert bell_polynomial(3000, 3000, [-1.0]) == 1
+        with pytest.raises(DomainError, match="double range"):
+            bell_polynomial(3000, 3000, [3000.0])
+        with pytest.raises(DomainError, match="10\\^5 products"):
+            bell_polynomial(10**300, 10**300, [1.0])
 
     def test_domain(self):
         with pytest.raises(DomainError):
