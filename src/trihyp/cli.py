@@ -20,8 +20,6 @@ import gc
 import io
 import json
 import math
-import os
-import pickle
 import sys
 import time
 from typing import NamedTuple
@@ -177,74 +175,14 @@ def sweep_points(check_id: str, config: SweepConfig) -> list:
     return out
 
 
-def _shards(count: int, jobs: int) -> list:
-    """Round-robin split of the indices 0..count-1 over at most ``jobs``
-    processes; no shard is empty unless ``count`` is 0."""
-    jobs = max(1, min(jobs, count))
-    return [range(i, count, jobs) for i in range(jobs)]
+def run_sweep(config: SweepConfig) -> Report:
+    """Execute the configured sweep in this process and assemble the report.
 
-
-def _evaluate(todo: list, jobs: int) -> list:
-    """Records of every point of ``todo``, in shard order.
-
-    This process evaluates the first shard; each other shard runs in a
-    child forked for it, which writes its pickled records to a pipe and
-    leaves by ``os._exit``.  The points come checked from
-    :func:`sweep_points`, so a point raises only through a defect: in
-    this process the exception propagates, and a child prints its
-    traceback to stderr and exits 1, which raises :class:`RuntimeError`
-    here.
-    """
-    shards = _shards(len(todo), jobs)
-    children = []  # (pid, read end of its pipe)
-    try:
-        for shard in shards[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    records = [eval_check_point(*todo[i]) for i in shard]
-                except Exception:
-                    import traceback  # paid for by a failing child alone
-
-                    traceback.print_exc()
-                else:
-                    # EPIPE here (the parent stopped reading) exits quietly
-                    with os.fdopen(w, "wb") as fh:
-                        pickle.dump(records, fh, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    sys.stderr.flush()
-                    os._exit(status)
-            os.close(w)
-            children.append((pid, os.fdopen(r, "rb")))
-        records = [eval_check_point(*todo[i]) for i in shards[0]]
-        payloads = [fh.read() for _, fh in children]
-    finally:
-        for pid, fh in children:
-            fh.close()  # a child still writing gets EPIPE instead of blocking
-        statuses = [(pid, os.waitpid(pid, 0)[1]) for pid, _ in children]
-    for pid, status in statuses:
-        if status != 0:
-            raise RuntimeError(f"sweep worker {pid} failed (wait status {status})")
-    for p in payloads:
-        records += pickle.loads(p)
-    return records
-
-
-def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
-    """Execute the configured sweep and assemble the report.
-
-    ``jobs`` counts processes, this one included (default and cap: the
-    machine's CPU count).  The points are
-    split round-robin over them and the extra processes are forked, so
-    call this from a process without threads; a sweep of 8 points or
-    fewer, or a platform without ``os.fork``, runs in this process alone.
-    Deterministic for a fixed config and seed: records are sorted by
-    (check id, parameter tuple) before serialization, so the split never
-    changes the output.
+    Every point is built, and an explicit grid's points coerced, before
+    the first is evaluated, so a bad grid value raises
+    :class:`DomainError` with no point evaluated.  Deterministic for a
+    fixed config and seed: records are sorted by (check id, parameter
+    tuple) before serialization.
     """
     t0 = time.perf_counter()
     todo = []
@@ -252,11 +190,7 @@ def run_sweep(config: SweepConfig, jobs: int | None = None) -> Report:
         tol = config.tolerance if config.tolerance is not None else default_tolerance(cid)
         for params in sweep_points(cid, config):
             todo.append((cid, params, tol))
-    cpus = os.cpu_count() or 1
-    jobs = cpus if jobs is None else min(jobs, cpus)
-    if len(todo) <= 8 or not hasattr(os, "fork"):
-        jobs = 1
-    records = _evaluate(todo, jobs)
+    records = [eval_check_point(*point) for point in todo]
     records.sort(key=_record_sort_key)
     summary = {"total": len(records), "pass": 0, "fail": 0,
                "skipped_domain": 0, "divergent_both": 0}
@@ -455,13 +389,13 @@ def _cmd_eval(args) -> int:
 def _cmd_roots(args) -> int:
     n, t = args.n, _parse(parse_complex, args.t, "bad t: ")
     inst = TrinomialInstance(n, t)
-    series_value = None
-    if args.method in ("series", "both"):
-        series_value = root_hypergeometric(inst)
+    # both routes run before anything is printed, so an error prints alone
+    series_value = root_hypergeometric(inst) if args.method != "closed" else None
+    rs = trinomial_closed_roots(n, t) if args.method != "series" else None
+    if series_value is not None:
         print(f"series root: {format_value(series_value)}  "
               f"residual = {residual(inst, series_value):.3e}")
-    if args.method in ("closed", "both"):
-        rs = trinomial_closed_roots(n, t)
+    if rs is not None:
         for i, (root, res) in enumerate(zip(rs.roots, rs.residuals), start=1):
             print(f"closed root {i}: {format_value(root)}  residual = {res:.3e}")
         if series_value is not None:
@@ -560,9 +494,7 @@ def _build_config(args) -> SweepConfig:
 
 def _cmd_check(args) -> int:
     config = _build_config(args)
-    if args.jobs is not None and args.jobs < 1:
-        raise _CliError(f"--jobs must be at least 1, got {args.jobs}")
-    report = run_sweep(config, jobs=args.jobs)
+    report = run_sweep(config)
     text = report_to_json(report) if config.output_format == "json" else report_to_csv(report)
     try:
         with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
@@ -676,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="parameter grid name:min:max:count or name:v1,v2,...")
     p_check.add_argument("--tol", type=float, help="tolerance for every check")
     p_check.add_argument("--seed", type=int, help="sampling seed")
-    p_check.add_argument("--jobs", type=int, default=None,
-                         help="processes, this one included (default: machine parallelism)")
+    p_check.add_argument("--jobs", type=int,
+                         help="ignored: the sweep runs in the trihyp process")
     p_check.add_argument("--format", choices=["json", "csv"], help="report format")
     p_check.add_argument("--out", help="report path")
     p_check.set_defaults(fn=_cmd_check)
@@ -699,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         # the process entry point: move the import-time heap out of the
-        # collector's reach, so that no collection in a forked sweep worker
-        # copies its pages and the exit collection skips it
+        # collector's reach, so that no collection during the sweep
+        # traverses it and the exit collection skips it
         gc.freeze()
     args = build_parser().parse_args(argv)
     # the one place an error becomes its message and exit code

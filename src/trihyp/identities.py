@@ -854,25 +854,30 @@ _EXHAUSTED = object()  # _side's value of a side whose series or quadrature did 
 
 def _side(fn, p):
     """One side's value; None where it diverges, ``_EXHAUSTED`` where a
-    series or the quadrature raises :class:`BudgetError`."""
+    series or the quadrature raises :class:`BudgetError`.  A value that is
+    not finite raises :class:`DomainError`, so no record holds one."""
     try:
-        return fn(**p)
+        value = fn(**p)
     except DivergenceError:
         return None
     except BudgetError:
         return _EXHAUSTED
+    if not cmath.isfinite(value):
+        raise DomainError(f"side value {value} is not finite")
+    return value
 
 
 def eval_identity(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
     """Differentially evaluate one catalog entry at one parameter point.
 
-    Points outside the entry's domain, or that an evaluator rejects with
+    Points outside the entry's domain, that an evaluator rejects with
     :class:`DomainError` (a quadrature node beyond a special function's
-    range), come back as ``skipped_domain``.  Points where exactly one
-    side diverges, or where either side raises :class:`BudgetError`,
-    count as ``fail`` with that side's value None; points where both
-    sides are genuinely infinite (the divergent rows of the piecewise
-    forms) come back as ``divergent_both``.  A ``tol`` that is not finite
+    range), or where a side's value is not finite, come back as
+    ``skipped_domain``.  Points where exactly one side diverges, or where
+    either side raises :class:`BudgetError`, count as ``fail`` with that
+    side's value None; points where both sides are genuinely infinite
+    (the divergent rows of the piecewise forms) come back as
+    ``divergent_both``.  A ``tol`` that is not finite
     and positive raises :class:`DomainError`.
     """
     if not 0.0 < tol < math.inf:

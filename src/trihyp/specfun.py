@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -87,6 +88,23 @@ _LANCZOS_C = (
 )
 
 
+_LOG_TINY = math.log(sys.float_info.min)  # the log of the smallest normal double
+
+
+def _lanczos(z: complex):
+    """(x + 1/2, t, acc) of gamma(z) = sqrt(2 pi) t^(x+1/2) e^(-t) acc, with
+    x = z - 1 and t = x + g + 1/2, on Re z >= 1/2."""
+    x = z - 1.0
+    acc = _LANCZOS_C[0]
+    for k in range(1, len(_LANCZOS_C)):
+        acc += _LANCZOS_C[k] / (x + k)
+    return x + 0.5, x + _LANCZOS_G + 0.5, acc
+
+
+class _GammaUnderflow(DomainError):
+    """gamma(z) is below the normal double range, so 1/gamma(z) overflows."""
+
+
 def gamma(z) -> complex:
     """Complex gamma function.
 
@@ -97,9 +115,12 @@ def gamma(z) -> complex:
     e^(-t) as one exponential, which keeps the value finite up to real
     z of about 171.6 (relative error about 1e-13 there, from rounding
     the exponent).  :class:`DomainError` is raised at a pole, for a
-    non-finite ``z`` and where the value or an intermediate overflows
-    (real z above about 171.6, below about -170.6 through the
-    reflection, and within about 5.6e-309 of 0).
+    non-finite ``z``, where |Im z| puts the value below the normal
+    double range ("gamma underflows"; |Im z| above about 450 near
+    Re z = 0), and where the value or an intermediate overflows (real z
+    above about 171.6, below about -170.6 through the reflection, within
+    about 5.6e-309 of 0, and |Im z| above about 226 at Re z < 1/2, where
+    the reflection's sin(pi z) does).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -108,26 +129,34 @@ def gamma(z) -> complex:
         raise DomainError(f"gamma pole at z = {z}")
     try:
         if z.real < 0.5:
+            try:
+                sine = cmath.sin(math.pi * z)
+            except OverflowError:  # |Im z| above about 226
+                # log|sin(pi z)| = pi |Im z| - log 2 to double precision here
+                power, t, acc = _lanczos(1.0 - z)
+                log_abs = (math.log(2.0 * math.pi) - math.pi * abs(z.imag)
+                           - (power * cmath.log(t) - t).real - math.log(SQRT_TWO_PI * abs(acc)))
+                if log_abs < _LOG_TINY:
+                    raise _GammaUnderflow(f"gamma underflows at z = {z}") from None
+                raise
             # gamma(z) * gamma(1-z) = pi / sin(pi z)
-            value = math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            value = math.pi / (sine * gamma(1.0 - z))
             if not cmath.isfinite(value):  # near 0, where gamma(z) ~ 1/z
                 raise OverflowError
             return value
-        x = z - 1.0
-        acc = _LANCZOS_C[0]
-        for k in range(1, len(_LANCZOS_C)):
-            acc += _LANCZOS_C[k] / (x + k)
-        t = x + _LANCZOS_G + 0.5
+        power, t, acc = _lanczos(z)
         try:
-            value = SQRT_TWO_PI * t ** (x + 0.5) * cmath.exp(-t) * acc
+            value = SQRT_TWO_PI * t ** power * cmath.exp(-t) * acc
         except OverflowError:
             value = math.inf
         if not cmath.isfinite(value):
             # t^(x+1/2) leaves the double range before e^(-t) scales it back
-            value = SQRT_TWO_PI * cmath.exp((x + 0.5) * cmath.log(t) - t) * acc
+            value = SQRT_TWO_PI * cmath.exp(power * cmath.log(t) - t) * acc
             if not cmath.isfinite(value):
                 raise OverflowError
         return value
+    except _GammaUnderflow:
+        raise
     except (OverflowError, DomainError):  # DomainError: the reflection's gamma(1-z) overflows
         raise DomainError(f"gamma overflows at z = {z}") from None
 
@@ -136,14 +165,13 @@ def rgamma(z) -> complex:
     """Reciprocal gamma, entire: returns exactly 0 at the poles of gamma,
     and 0 where gamma overflows at Re z >= 1/2.  :class:`DomainError` is
     raised for a non-finite ``z`` and where 1/gamma itself overflows (real
-    z below about -170.6, and far off the real axis, where gamma underflows
-    to 0)."""
+    z below about -170.6, and far off the real axis, where gamma underflows)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     try:
         return 1.0 / gamma(z)
-    except ZeroDivisionError:  # gamma underflows to 0 (far off the real axis)
+    except (ZeroDivisionError, _GammaUnderflow):  # gamma underflows (far off the real axis)
         raise DomainError(f"1/gamma overflows at z = {z}") from None
     except DomainError:
         if cmath.isfinite(z) and z.real >= 0.5:

@@ -142,7 +142,7 @@ def test_criterion_7_determinism():
                       output_path="report.json")
     docs = []
     for _ in range(2):
-        doc = json.loads(report_to_json(run_sweep(cfg, jobs=1)))
+        doc = json.loads(report_to_json(run_sweep(cfg)))
         doc["wall_time_ms"] = 0
         docs.append(json.dumps(doc, sort_keys=True))
     ok = docs[0] == docs[1]

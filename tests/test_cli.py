@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from itertools import product
@@ -14,8 +15,6 @@ import trihyp
 from trihyp import cli
 from trihyp.cli import (
     SweepConfig,
-    _evaluate,
-    _shards,
     default_tolerance,
     format_value,
     main,
@@ -277,6 +276,17 @@ class TestRootsCommand:
     def test_unsupported_degree(self, capsys):
         assert main(["roots", "5", "0.1", "closed"]) == 3
 
+    def test_unsupported_degree_prints_no_series_root(self, capsys):
+        # the series root was once printed before the closed form raised
+        assert main(["roots", "5", "0.1", "both"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no closed form implemented for n = 5\n"
+
+    def test_series_root_at_any_degree(self, capsys):
+        assert main(["roots", "5", "0.1", "series"]) == 0
+        assert capsys.readouterr().out.startswith("series root: 0.100010005003503")
+
     def test_non_finite_closed_root(self, capsys):
         # once printed `nan-infi  residual = nan` with exit 0
         assert main(["roots", "2", "1e308", "closed"]) == 3
@@ -341,86 +351,41 @@ class TestCheckCommand:
         assert doc["config"]["seed"] == 5
 
     def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
-        # more CPUs than jobs, so that each run forks jobs - 1 children
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        cfg = SweepConfig(identity_ids=("I05", "J2"), seed=11, output_path="x.json")
-        r1 = run_sweep(cfg, jobs=1)
-        r2 = run_sweep(cfg, jobs=3)
-        r3 = run_sweep(cfg, jobs=2)
-        a, b, c = (json.loads(report_to_json(r)) for r in (r1, r2, r3))
-        a["wall_time_ms"] = b["wall_time_ms"] = c["wall_time_ms"] = 0
-        assert a == b == c
-
-    def test_worker_domain_error_reaches_the_caller(self, tmp_path, capsys, monkeypatch):
-        # 12 points whose n alternates 0, 0.5 in sweep order: at --jobs 2 every
-        # point with n = 0.5 would fall in the forked child's shard, but the
-        # grid is checked before any fork; 4 CPUs keep the cap from running
-        # it serially
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # --jobs is accepted and ignored: nothing forks, and every run writes
+        # the same bytes
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        reports = []
+        for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+            out = tmp_path / "r.json"
+            assert main(["check", "--ids", "I05,J2", "--seed", "11", *jobs, "--out", str(out)]) == 0
+            reports.append(re.sub(rb'"wall_time_ms": [0-9]+', b"", out.read_bytes()))
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_a_bad_grid_value_stops_the_sweep_before_any_point(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # n alternates 0, 0.5 in sweep order; the n = 0.5 points are refused
+        # before the first point is evaluated
+        monkeypatch.setattr(cli, "eval_check_point", lambda *point: pytest.fail("evaluated"))
         grid = ["--grid", "n:0,0.5", "--grid", "s:1,2,3", "--grid", "x:1,1.5"]
-        errors = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"r{jobs}.json"
-            assert main(["check", "--ids", "J1", *grid, "--jobs", jobs, "--out", str(out)]) == 3
-            assert not out.exists()
-            errors.append(capsys.readouterr().err)
-        assert "must be an integer" in errors[0] and errors[0] == errors[1]
-
-    @staticmethod
-    def _defect_at(monkeypatch, bad):
-        """Stand in for eval_check_point: point ``bad`` raises, any other
-        point i gives the record i."""
-        def point(i):
-            if i == bad:
-                raise ValueError(f"defect at point {i}")
-            return i
-
-        monkeypatch.setattr(cli, "eval_check_point", point)
-        return [(i,) for i in range(12)]
-
-    def test_a_defect_in_a_forked_shard_prints_its_traceback(self, monkeypatch, capfd):
-        # at jobs = 2 the odd points are the forked child's shard
-        todo = self._defect_at(monkeypatch, 3)
-        with pytest.raises(RuntimeError, match="sweep worker [0-9]+ failed"):
-            _evaluate(todo, 2)
-        err = capfd.readouterr().err
-        assert "Traceback (most recent call last)" in err
-        assert "ValueError: defect at point 3" in err
-        assert sorted(_evaluate(todo[:3], 2)) == [0, 1, 2]
+        out = tmp_path / "r.json"
+        assert main(["check", "--ids", "J1", *grid, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_a_defect_in_this_process_propagates(self, monkeypatch, capfd):
-        # the even points are this process's shard; the child's succeeds
-        todo = self._defect_at(monkeypatch, 4)
-        for jobs in (1, 2):
-            with pytest.raises(ValueError, match="defect at point 4"):
-                _evaluate(todo, jobs)
-        assert capfd.readouterr().err == ""
+        # a point that raises other than through the catalog's errors is a
+        # defect: it stops the sweep at that point
+        calls = []
 
-    @pytest.mark.parametrize("jobs,cpus,used", [(5000, 2, 2), (None, 3, 3), (2, 8, 2), (None, None, 1)])
-    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch, jobs, cpus, used):
-        # nothing is forked: the stand-in for _evaluate records what it gets
-        seen = []
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli, "_evaluate", lambda todo, j: seen.append(j) or [])
-        run_sweep(SweepConfig(identity_ids=("I01",), seed=3), jobs=jobs)
-        assert seen == [used]
+        def point(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise ValueError("defect at point 4")
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_are_refused(self, jobs, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(cli, "_evaluate", lambda todo, j: pytest.fail("evaluated"))
-        out = tmp_path / "r.json"
-        assert main(["check", "--ids", "I01", "--jobs", str(jobs), "--out", str(out)]) == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("count,jobs", [(3, 5), (10, 3), (9, 2), (5, 1), (5, 0)])
-    def test_shards_cover_every_point_once(self, count, jobs):
-        shards = _shards(count, jobs)
-        assert len(shards) == max(1, min(jobs, count))
-        assert all(len(s) > 0 for s in shards)
-        assert sorted(i for s in shards for i in s) == list(range(count))
-
+        monkeypatch.setattr(cli, "eval_check_point", point)
+        with pytest.raises(ValueError, match="defect at point 4"):
+            run_sweep(SweepConfig(identity_ids=("I01",), seed=3))
+        assert len(calls) == 5 and capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -508,7 +473,7 @@ class TestCheckGrids:
         # t = 1e-60 underflows t^(n+1); at t = -1e-20, sqrt(1-t) rounds to 1
         out = tmp_path / "r.json"
         assert main(["check", "--ids", "I02,I08", "--grid", "n:5", "--grid", "t:1e-60,-1e-20",
-                     "--jobs", "1", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
         assert [r["verdict"] for r in records] == ["pass"] * 4
 
@@ -569,13 +534,13 @@ class TestCheckGrids:
 class TestReportSerialization:
     def test_csv_complex_params(self):
         cfg = SweepConfig(identity_ids=("J0",), seed=2)
-        rep = run_sweep(cfg, jobs=1)
+        rep = run_sweep(cfg)
         text = report_to_csv(rep)
         assert text.count("\n") == len(rep.records) + 1
 
     def test_divergent_rows_serialize_null(self):
         cfg = SweepConfig(identity_ids=("I02",), seed=2)
-        rep = run_sweep(cfg, jobs=1)
+        rep = run_sweep(cfg)
         doc = json.loads(report_to_json(rep))
         divergent = [r for r in doc["records"] if r["verdict"] == "divergent_both"]
         assert divergent and all(r["lhs"] is None for r in divergent)

@@ -164,6 +164,13 @@ class TestCheckGrid:
         assert recs[0].verdict == "pass"
         assert recs[1].verdict == "skipped_domain"
 
+    def test_infinite_side_is_skipped(self):
+        # J2's closed form overflows to inf here; the record once held it as a
+        # "fail" with rhs Infinity
+        rec = eval_identity("J2", {"n": 3, "p": 1e100, "x": 1e200}, 1e-6)
+        assert rec.verdict == "skipped_domain"
+        assert rec.lhs_value is None and rec.rhs_value is None
+
     def test_i12_integer_points(self):
         grid = [{"n": n, "t": t} for n in range(1, 5) for t in (-0.7, 0.3, 0.8)]
         recs = [eval_identity("I12", p, 1e-10) for p in grid]

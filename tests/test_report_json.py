@@ -75,7 +75,7 @@ class TestAgainstJsonDumps:
     def test_sweep_reports(self, ids):
         # J0's tuple params hold empty tuples and complex values; I02 has
         # divergent_both rows whose sides are null
-        report = run_sweep(SweepConfig(identity_ids=ids, seed=5), jobs=1)
+        report = run_sweep(SweepConfig(identity_ids=ids, seed=5))
         assert report_to_json(report) == reference_json(report)
 
     def test_no_records(self):

@@ -223,6 +223,18 @@ class TestGamma:
         with pytest.raises(DomainError, match="finite"):
             rgamma(z)
 
+    def test_underflow_off_the_real_axis_is_domain_error(self):
+        # |gamma(700i)| ~ e^(-350 pi); sin(700 pi i) overflows first, and the
+        # error once said "gamma overflows"
+        with pytest.raises(DomainError, match=r"^gamma underflows at z = 700j$"):
+            gamma(700j)
+
+    @pytest.mark.parametrize("fn", [rgamma, lambda z: hyp_pfq_regularized((z, 1.0), (z,), 0.0)],
+                             ids=["rgamma", "2f1_reg"])
+    def test_reciprocal_where_the_reflection_underflows_is_domain_error(self, fn):
+        with pytest.raises(DomainError, match=r"^1/gamma overflows at z = 700j$"):
+            fn(700j)
+
     @pytest.mark.parametrize("fn", [gamma, rgamma])
     def test_reflection_overflow_names_the_callers_argument(self, fn):
         # not the 201.5 of the inner gamma(1 - z)
