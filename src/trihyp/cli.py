@@ -606,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated check ids (default: all)")
     p_check.add_argument("--grid", action="append",
                          help="parameter grid name:min:max:count or name:v1,v2,...")
-    p_check.add_argument("--tol", type=float, help="tolerance for every check")
+    p_check.add_argument("--tol", type=float,
+                         help="relative tolerance for every check (default: per check)")
     p_check.add_argument("--seed", type=int, help="sampling seed")
     p_check.add_argument("--jobs", type=int,
                          help="ignored: the sweep runs in the trihyp process")
@@ -619,7 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("expr", nargs="?", help="expression in t for custom")
     for key in _INTEGRATE_FLAGS:
         p_int.add_argument(f"--{key}", help="integer parameter" if key == "n" else "complex parameter")
-    p_int.add_argument("--tol", type=float, default=1e-6)
+    p_int.add_argument("--tol", type=float, default=1e-6,
+                       help="relative tolerance (default 1e-6); an integral that "
+                       "is exactly 0 cannot meet it and exits 3")
     p_int.add_argument("--sigma", type=float, default=0.0,
                        help="endpoint singularity exponent for custom")
     p_int.add_argument("--decay", type=float, default=1.0,

@@ -25,11 +25,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from random import Random
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BudgetError, DivergenceError, DomainError
 from .specfun import (
+    _pow,
     bell_polynomial,
     binomial_remainder,
     hyp1f1,
@@ -215,19 +217,27 @@ def _rhs_i09(n, t):
     return pref * (-1) ** (n + 1) * tail
 
 
+def _lhs_i10(n, t):
+    # Ferrers P_{-n}^{-n}(x) at x = 1/sqrt(1-t) (DLMF 14.3.1): the prefactor
+    # ((1-x)/(1+x))^(n/2) = (-t)^(n/2)/(1+r)^n and w = (1-x)/2 are formed
+    # from t itself, so they keep their digits where x rounds to 1
+    t = complex(t).real
+    r = math.sqrt(1.0 - t)
+    w = -t / (2.0 * r * (1.0 + r))
+    pref = _pow(-t, n / 2.0) / (1.0 + r) ** n
+    return pref * hyp_pfq_regularized((1.0 - n, float(n)), (1.0 + n,), w).value
+
+
 def _rhs_i10(n, t):
     t = complex(t)
     if t == 0:
         return 0.0 + 0.0j
-    # the printed power keeps its phase (see the domain note); the bracket's
-    # u^n multiplies back in.  At tiny |t| the two powers leave the double
-    # range (an OverflowError, or inf times 0), and the point has no value
-    try:
-        power = ((t - 1.0) / t) ** (n / 2.0) * (t / (t - 1.0)) ** n
-    except OverflowError:
-        power = math.inf
-    if not cmath.isfinite(power):
-        raise DomainError(f"I10: the power combination at t = {t} leaves the double range")
+    # on the negative real axis the printed ((t-1)/t)^(n/2) times the
+    # bracket's u^n is (t/(t-1))^(n/2); below the normal range that power
+    # has lost its digits, and the point has no value
+    power = _pow(t / (t - 1.0), n / 2.0)
+    if abs(power) < sys.float_info.min:
+        raise DomainError(f"I10: the power (t/(t-1))^(n/2) at t = {t} is below the normal range")
     return power / (2.0**n * pochhammer(0.5, n)) * _seven_bracket(n - 1, t)
 
 
@@ -332,7 +342,7 @@ def _i18_sides(n, t):
         return _I18_LAST[2]
     i02, i05, i07 = _rhs_i02(n, t), _rhs_i05(n, t), _rhs_i07(n, t)
     pairs = ((i02, i05), (i07, _rhs_i08(n, t)), (i07, _rhs_i09(n, t)))
-    sides = max(pairs, key=lambda p: abs(p[0] - p[1]) / max(1.0, abs(p[0])))
+    sides = max(pairs, key=lambda p: abs(p[0] - p[1]) / max(abs(p[0]), sys.float_info.min))
     _I18_LAST[:] = n, t, sides
     return sides
 
@@ -520,7 +530,7 @@ _register(
         id="I10",
         params=_P_NT,
         domain="n in 1..4, t real in [-6, 0]; branch-valid only on the negative real axis",
-        lhs=lambda n, t: legendre_p(-n, -n, 1.0 / cmath.sqrt(1.0 - t)),
+        lhs=_lhs_i10,
         rhs=_rhs_i10,
         anchor="Legendre P_{-n}^{-n}(1/sqrt(1-t)) in elementary form",
         in_domain=lambda n, t: _int_in(n, 1, 4)
@@ -836,14 +846,16 @@ def coerce_params(identity_id: str, params: Mapping) -> dict:
 
 
 def _record(identity_id, params, lv, rv, tol) -> CheckRecord:
-    """The verdict rule: relative error within tol, or absolute error
-    within tol where |lhs| < 1."""
+    """The verdict rule: a point passes iff its absolute error is within
+    tol times |lhs|, floored at the smallest normal double 2^-1022; below
+    that floor a double holds fewer than 53 bits, and a relative test
+    means nothing.  So ``tol`` is relative at every size of value."""
     abs_err = abs(lv - rv)
     if lv == 0:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
     else:
         rel_err = abs_err / abs(lv)
-    ok = rel_err <= tol or (abs_err <= tol and abs(lv) < 1.0)
+    ok = abs_err <= tol * max(abs(lv), sys.float_info.min)
     return CheckRecord(
         identity_id, params, lv, rv, abs_err, rel_err, "pass" if ok else "fail"
     )

@@ -117,17 +117,18 @@ def integrate_semi_infinite(
     singular_exponent: float = 0.0,
     decay_rate: float = 1.0,
 ) -> QuadResult:
-    """Integrate ``f`` over (0, infinity) to ``tol``, relative where the
-    value's modulus exceeds 1 and absolute below it.
+    """Integrate ``f`` over (0, infinity) to the relative accuracy ``tol``.
 
     ``singular_exponent`` is the power of t as t -> 0 (finite, above -1),
     ``decay_rate`` the exponential tail rate (finite, >= 0) and ``tol``
     finite and positive; any of them out of range raises
     :class:`DomainError`.  Exponentially decaying
-    integrands are truncated at T = max(50/decay_rate, 40), where the
-    truncation bound |f(T)|/decay_rate is held under tol/10 (absolute),
-    and integrated with tanh-sinh; a negative exponent first goes through
-    the substitution t = u^m that flattens the origin singularity.  A
+    integrands are truncated at T, starting from max(50/decay_rate, 40),
+    and integrated with tanh-sinh on [0, T]; a negative exponent first
+    goes through the substitution t = u^m that flattens the origin
+    singularity.  The truncation bound |f(T)|/decay_rate is held under
+    tol/10 times the modulus of the coarsest level (h = 0.5): while it is
+    not, T grows by 1.5 (up to 1e6) and that level is redone.  A
     zero decay rate selects the exp-sinh transform of the full half line.
     Both rules are one trapezoidal level sum over tau in [-6.5, 6.5]
     and differ only in the node map tau -> (t, weight).  Within a level,
@@ -138,8 +139,9 @@ def integrate_semi_infinite(
     evaluates only its new odd-index nodes, so no node is evaluated
     twice, and ``evaluations`` counts each integrand call once (the
     truncation-point search included).  A level is accepted once its
-    change plus the truncation bound is at most tol * max(1, |value|) / 3;
-    a result not converged at the finest level (h = 0.5/64) raises
+    change plus the truncation bound is at most tol * |value| / 3, so an
+    integral that is exactly 0 has no accepted level.  A result not
+    converged at the finest level (h = 0.5/64) raises
     :class:`BudgetError` with the last estimate attached.
     """
     if not -1.0 < singular_exponent < math.inf:
@@ -149,15 +151,10 @@ def integrate_semi_infinite(
     if not 0.0 < tol < math.inf:
         raise DomainError("tolerance must be finite and positive")
     if decay_rate == 0.0:
-        tail, evaluations = 0.0, 0
+        tail = 0.0
         level = partial(_level_sum, f, _exp_sinh_node)
+        raw, evaluations = level(0.5, 0, 1)
     else:
-        T = _first_truncation_point(decay_rate)
-        tail, evaluations = abs(f(T)) / decay_rate, 1
-        while tail > tol / 10.0 and T < 1e6:
-            T *= 1.5
-            tail = abs(f(T)) / decay_rate
-            evaluations += 1
         m = 1
         if singular_exponent < 0.0:
             m = max(1, math.ceil((1.0 - 1e-12) / (1.0 + singular_exponent)))
@@ -169,11 +166,20 @@ def integrate_semi_infinite(
                 if t == 0.0:  # node so deep that u^m underflows; weight is ~0 there
                     return 0.0
                 return f(t) * _m * u ** (_m - 1)
-        level = partial(_level_sum, g, partial(_tanh_sinh_node, T ** (1.0 / m) / 2.0))
-
+        T = _first_truncation_point(decay_rate)
+        tail, evaluations = abs(f(T)) / decay_rate, 1
+        # the truncation bound is held to tol/10 of the coarsest level's
+        # modulus: the window grows, and that level is redone, until it is
+        while True:
+            level = partial(_level_sum, g, partial(_tanh_sinh_node, T ** (1.0 / m) / 2.0))
+            raw, calls = level(0.5, 0, 1)
+            evaluations += calls
+            if tail <= tol * abs(raw * 0.5) / 10.0 or T >= 1e6:
+                break
+            T *= 1.5
+            tail = abs(f(T)) / decay_rate
+            evaluations += 1
     # nested levels: halving h keeps every node and adds the odd-index ones
-    raw, calls = level(0.5, 0, 1)
-    evaluations += calls
     prev = raw * 0.5
     h = 0.25
     for _ in range(_LEVELS - 1):
@@ -182,7 +188,7 @@ def integrate_semi_infinite(
         evaluations += calls
         val = raw * h
         err = abs(val - prev) + tail
-        if err <= tol * max(1.0, abs(val)) / 3.0:
+        if err <= tol * abs(val) / 3.0:
             return QuadResult(val, err, evaluations)
         prev = val
         h /= 2.0

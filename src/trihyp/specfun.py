@@ -775,16 +775,41 @@ def incomplete_beta(nu, mu, t) -> complex:
 # --------------------------------------------------------------------------
 
 
+_FERRERS_ZERO_CUT = 2.0**-10  # below it in |x|, Ferrers P_nu^mu(x) is expanded about x = 0
+
+
+def _ferrers_near_zero(nu, mu, x: float) -> complex:
+    """Ferrers P_nu^mu(x) by its expansion about x = 0 (DLMF 14.3.11): two
+    2F1 in x^2 with reciprocal-gamma weights, the odd one carrying x."""
+    a, b = -(nu + mu) / 2.0, (nu - mu + 1.0) / 2.0
+    x2 = x * x
+    bracket = 0.0 + 0.0j
+    even = rgamma(a + 0.5) * rgamma(b + 0.5)
+    if even != 0:
+        bracket += even * hyp_pfq((a, b), (0.5,), x2).value
+    odd = rgamma(a) * rgamma(b)
+    if odd != 0:
+        bracket -= 2.0 * x * odd * hyp_pfq((a + 0.5, b + 0.5), (1.5,), x2).value
+    if bracket == 0:  # both weights at poles: 2^mu is not formed (it overflows near mu = 1e300)
+        return bracket
+    return _pow(2.0, mu) * SQRT_PI * _pow(1.0 - x2, -mu / 2.0) * bracket
+
+
 def legendre_p(nu, mu, x) -> complex:
     """Legendre function P_nu^mu(x) of general complex degree and order.
 
-    Hypergeometric representation with the regularized series, so
-    nonpositive-integer 1-mu is handled.  Real x in (-1, 1) uses the
-    Ferrers (on-cut) prefactor ((1+x)/(1-x))^(mu/2); elsewhere the
-    principal-branch prefactor ((x+1)/(x-1))^(mu/2) applies.  Needs
-    |1-x| < 2 for the series.  Satisfies P_{-nu-1}^mu = P_nu^mu.
+    Hypergeometric representation with the regularized series in
+    (1-x)/2, so nonpositive-integer 1-mu is handled.  Real x in (-1, 1)
+    uses the Ferrers (on-cut) prefactor ((1+x)/(1-x))^(mu/2); elsewhere
+    the principal-branch prefactor ((x+1)/(x-1))^(mu/2) applies.  Needs
+    |1-x| < 2 for the series.  Real |x| below 2^-10 takes the Ferrers
+    expansion about x = 0 instead, where the series in (1-x)/2 would
+    cancel down to a value that vanishes with x (P_1^0(x) = x).
+    Satisfies P_{-nu-1}^mu = P_nu^mu.
     """
     nu, mu, x = complex(nu), complex(mu), complex(x)
+    if x.imag == 0.0 and abs(x.real) < _FERRERS_ZERO_CUT:
+        return _ferrers_near_zero(nu, mu, x.real)
     if x == 1.0:
         if mu == 0:
             return 1.0 + 0.0j

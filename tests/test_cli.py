@@ -562,7 +562,25 @@ class TestIntegrateCommand:
     def test_j1_closed_form_at_small_x(self, capsys):
         # the printed bracket cancelled to -4.7e-15 here
         assert main(["integrate", "J1", "--n", "3", "--s", "1", "--x", "1e-4"]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "closed form = 8.30605151656157e-17"
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "closed form = 8.30605151656157e-17"
+        # the quadrature holds tol relative to the value (it once read 8.2075e-17)
+        quadrature = float(out[0].split(" = ")[1])
+        assert abs(quadrature - 8.30605151656157e-17) <= 1e-6 * 8.30605151656157e-17
+
+    def test_small_custom_integral_is_relative(self, capsys):
+        # the README's example; with tol absolute below 1 it printed 6.0266e-13
+        assert main(["integrate", "custom", "1e-12*exp(-t)*sin(3*t)**2/sqrt(t)",
+                     "--sigma", "-0.5"]) == 0
+        value = float(capsys.readouterr().out.splitlines()[0].split(" = ")[1])
+        assert abs(value - 6.1205030347e-13) <= 1e-6 * 6.1205030347e-13
+
+    def test_zero_integral_has_no_relative_estimate(self, capsys):
+        # the integral of e^-t sin t - e^-t/2 is exactly 0: no level's change is
+        # within tol times the value, so the quadrature exhausts its levels
+        assert main(["integrate", "custom", "exp(-t)*sin(t) - 0.5*exp(-t)"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: quadrature did not converge in 7 levels\n"
 
     def test_custom_expression(self, capsys):
         assert main(["integrate", "custom", "exp(-t)"]) == 0
@@ -623,6 +641,12 @@ class TestFullRegistry:
         assert s["total"] == len(doc["records"])
         assert (s["pass"] + s["fail"] + s["skipped_domain"] + s["divergent_both"]
                 == s["total"])
+
+    @pytest.mark.parametrize("seed", [7, 13])
+    def test_default_sweep_verdicts_at_other_seeds(self, seed):
+        summary = run_sweep(SweepConfig(seed=seed)).summary
+        assert summary == {"total": 4029, "pass": 4026, "fail": 0,
+                           "skipped_domain": 0, "divergent_both": 3}
 
 
 def test_import_leaves_out_the_pool_and_dataclass_machinery():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from random import Random
 
 import pytest
@@ -229,8 +230,28 @@ class TestEquivalences:
             n, t = p["n"], complex(p["t"])
             pairs = ((_rhs_i02(n, t), _rhs_i05(n, t)), (_rhs_i07(n, t), _rhs_i08(n, t)),
                      (_rhs_i07(n, t), _rhs_i09(n, t)))
-            worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(1.0, abs(q[0])))
+            worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(abs(q[0]), sys.float_info.min))
             assert (rec.lhs_value, rec.rhs_value) == worst
+
+
+class TestVerdictRule:
+    """A point passes iff abs_err <= tol * max(|lhs|, 2^-1022)."""
+
+    @pytest.mark.parametrize(
+        "lv,rv,verdict",
+        [
+            (1e-10, 2e-10, "fail"),  # once a pass on its absolute error alone
+            (0.0, 0.0, "pass"),
+            (0.0, 1e-300, "fail"),
+            (1e-320, 2e-320, "pass"),  # subnormal: within 1e-8 * 2^-1022 of each other
+            (1e-320, 1e-315, "fail"),
+            (3.0, 3.0 + 2e-8, "pass"),
+            (3.0, 3.0 + 4e-8, "fail"),
+        ],
+    )
+    def test_one_relative_comparison(self, lv, rv, verdict):
+        rec = identities._record("I01", {}, complex(lv), complex(rv), 1e-8)
+        assert rec.verdict == verdict
 
 
 class TestTinyArgument:
@@ -267,6 +288,19 @@ class TestTinyArgument:
                         if rec.verdict == "fail":
                             problems.append(rec)
         assert problems == []
+
+    def test_i10_lhs_vs_mpmath(self):
+        # the LHS forms (1-x)/2 from t: once 1/sqrt(1-t) rounded to 1 and it read 0
+        mpmath = pytest.importorskip("mpmath")
+        lhs = get_identity("I10").lhs
+        for k in range(0, 301, 20):
+            t = -0.37 * 10.0**-k
+            for n in range(1, 5):
+                with mpmath.workdps(30 + k):
+                    x = 1 / mpmath.sqrt(1 - mpmath.mpf(t))
+                    ref = complex(mpmath.legenp(-n, -n, x, type=2))
+                if abs(ref) >= sys.float_info.min:
+                    assert abs(lhs(n, t) - ref) <= 1e-14 * abs(ref), (n, t)
 
 
 class TestQuadraticTransformation:

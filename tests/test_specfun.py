@@ -628,6 +628,20 @@ class TestLegendre:
             expected = -((-2.0) ** n) * pochhammer(0.5, n) * t * (1 - t * t) ** ((n - 1) / 2)
             assert rel(legendre_p(n, n - 1, t), expected) < 1e-12
 
+    def test_order_below_degree_near_zero_vs_mpmath(self):
+        # the series in (1-x)/2 cancels at small x: P_1^0(1e-12) once read 9.99978e-13.
+        # The reference is DLMF 14.6.1, P_n^m(x) = (-1)^m (1-x^2)^(m/2) P_n^(m)(x),
+        # in mpmath (its legenp stalls at small x for these integer orders)
+        mpmath = pytest.importorskip("mpmath")
+        for k in range(0, 301, 20):
+            for t in (0.37 * 10.0**-k, -0.83 * 10.0**-k):
+                for n in range(1, 5):
+                    with mpmath.workdps(30 + k):
+                        x = mpmath.mpf(t)
+                        ref = complex((-1) ** (n - 1) * (1 - x * x) ** (mpmath.mpf(n - 1) / 2)
+                                      * mpmath.diff(lambda y: mpmath.legendre(n, y), x, n - 1))
+                    assert abs(legendre_p(n, n - 1, t) - ref) <= 1e-14 * abs(ref), (n, t)
+
     def test_branch_point(self):
         with pytest.raises(DomainError):
             legendre_p(0.3, 0.5, 1.0)
