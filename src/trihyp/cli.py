@@ -332,8 +332,20 @@ def report_to_csv(report: Report) -> str:
 # --------------------------------------------------------------------------
 
 # series evaluations behind the CLI run at a tighter truncation than the
-# library default so all 15 printed digits are trustworthy
+# library default; rounding still costs a sum about 1e-16 times its largest
+# term over its value, so _pfq_entry refuses one that loses 8 digits
 _CLI_CONTROL = sf.SeriesControl(rel_tol=5e-16, max_terms=100_000, consecutive_small=4)
+
+
+def _pfq_entry(name: str, p: int, q: int, evaluate=sf.hyp_pfq):
+    """The ``eval`` entry of a pFq taking its p upper, q lower parameters
+    and z: :class:`DomainError` where the terms cancel by more than 8
+    digits, also to exactly 0 (2F1(-1, 1; 1; 1))."""
+
+    def run(*args):
+        return sf._kept_digits(evaluate(args[:p], args[p:p + q], args[-1], _CLI_CONTROL), name)
+
+    return run, p + q + 1
 
 
 def _integer(x: complex, what: str) -> int:
@@ -350,17 +362,11 @@ _EVAL_REGISTRY = {
     "gamma": (sf.gamma, 1),
     "rgamma": (sf.rgamma, 1),
     "pochhammer": (lambda a, k: sf.pochhammer(a, _integer(k, "pochhammer: k")), 2),
-    "0f1": (lambda b, z: sf.hyp0f1(b, z, _CLI_CONTROL), 2),
-    "1f1": (lambda a, b, z: sf.hyp1f1(a, b, z, _CLI_CONTROL), 3),
-    "2f1": (lambda a, b, c, z: sf.hyp2f1(a, b, c, z, _CLI_CONTROL), 4),
-    "2f1_reg": (
-        lambda a, b, c, z: sf.hyp_pfq_regularized((a, b), (c,), z, _CLI_CONTROL).value,
-        4,
-    ),
-    "3f2": (
-        lambda a1, a2, a3, b1, b2, z: sf.hyp3f2(a1, a2, a3, b1, b2, z, _CLI_CONTROL),
-        6,
-    ),
+    "0f1": _pfq_entry("0f1", 0, 1),
+    "1f1": _pfq_entry("1f1", 1, 1),
+    "2f1": _pfq_entry("2f1", 2, 1),
+    "2f1_reg": _pfq_entry("2f1_reg", 2, 1, sf.hyp_pfq_regularized),
+    "3f2": _pfq_entry("3f2", 3, 2),
     "gamma_lower": (sf.lower_incomplete_gamma, 2),
     "beta_inc": (sf.incomplete_beta, 3),
     "legendre_p": (sf.legendre_p, 3),

@@ -352,8 +352,12 @@ def _rhs_k01(n, z):
 
 
 def _rhs_k02(n, z):
+    # n e^z gamma(n, z)/z^n with gamma(n, z) = (n-1)! (1 - e^(-z) e_{n-1}(z)),
+    # e_{n-1} the exponential series cut after z^(n-1): no series engine, so
+    # not the LHS series again.  It cancels inside |z| < 1, off the domain.
     z = complex(z)
-    return n * cmath.exp(z) * lower_incomplete_gamma_over_power(n, z)
+    head = sum(z**k / _FACT(k) for k in range(n))
+    return _FACT(n) * (cmath.exp(z) - head) / z**n
 
 
 # --------------------------------------------------------------------------
@@ -703,13 +707,14 @@ _register(
     IdentityDescriptor(
         id="K02",
         params=_P_NZ,
-        domain="n in 1..5, |z| <= 8",
+        domain="n in 1..5, 1 <= |z| <= 8",
         lhs=lambda n, z: hyp1f1(1, 1 + n, z),
         rhs=_rhs_k02,
-        anchor="Kummer 1F1(1;1+n;z) = n e^z gamma(n, z) / z^n",
-        in_domain=lambda n, z: _int_in(n, 1, 5) and abs(complex(z)) <= 8.0,
-        sample=lambda rng: {"n": rng.randrange(1, 6), "z": _disc(rng, 8.0)},
-        special_points=({"n": 1, "z": 0.0}, {"n": 2, "z": 1.5}),
+        anchor="Kummer 1F1(1;1+n;z) = n e^z gamma(n, z) / z^n "
+        "= n! (e^z - e_{n-1}(z)) / z^n",
+        in_domain=lambda n, z: _int_in(n, 1, 5) and _in_disc(z, 8.0, 1.0),
+        sample=lambda rng: {"n": rng.randrange(1, 6), "z": _disc(rng, 8.0, min_abs=1.0)},
+        special_points=({"n": 5, "z": 1.0}, {"n": 2, "z": 1.5}),
     )
 )
 

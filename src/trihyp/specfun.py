@@ -15,7 +15,9 @@ Its term ratios are kept per parameter pair in a table of bounded size
 that every call shares; each ratio is computed from the parameters and
 its index alone, so no value depends on the table's state.  The same
 loop sums the elementary brackets ``1 - (truncated binomial series)``
-of the identity catalog through :func:`binomial_remainder`.
+of the identity catalog through :func:`binomial_remainder`, and the
+series of the lower incomplete gamma; it is the one loop that sums a
+convergent series.
 """
 
 from __future__ import annotations
@@ -237,15 +239,31 @@ class SeriesControl(_SeriesControlFields):
 
 class SeriesResult(NamedTuple):
     """A series value.  ``converged`` is False only on the partial result
-    a :class:`BudgetError` carries as ``best``."""
+    a :class:`BudgetError` carries as ``best``.  ``largest`` is the
+    largest |term| summed (0.0 where no series was summed, as at z = 0 or
+    by a summation formula): where it exceeds |value| many times over, the
+    terms cancelled and the value lost that many of its digits."""
 
     value: complex
     terms_used: int
     converged: bool
     est_error: float
+    largest: float = 0.0
 
 
 _DEFAULT_CONTROL = SeriesControl()
+
+# a sum whose largest term exceeds it more than this many times has lost
+# more than 8 of its digits to cancellation
+_CANCELLATION_LIMIT = 1e8
+
+
+def _kept_digits(res: SeriesResult, what: str) -> complex:
+    """``res.value``, or :class:`DomainError` where its terms cancelled
+    (``res.largest`` above _CANCELLATION_LIMIT times |value|)."""
+    if res.largest > _CANCELLATION_LIMIT * abs(res.value):
+        raise DomainError(f"{what}: the series loses more than 8 digits to cancellation")
+    return res.value
 
 
 def _narrow(v):
@@ -331,7 +349,7 @@ def _series(upper, lower) -> _Series:
 _OUT_OF_RANGE = ": its terms leave the double range"
 
 
-def _unconverged(upper, lower, terms, total, term, why=""):
+def _unconverged(upper, lower, terms, total, term, largest, why=""):
     """The BudgetError of a sum stopped after ``terms`` terms, with the
     partial sum as ``best``."""
     try:
@@ -340,7 +358,7 @@ def _unconverged(upper, lower, terms, total, term, why=""):
         est = math.inf
     return BudgetError(
         f"{len(upper)}F{len(lower)} series did not converge in {terms} terms{why}",
-        best=SeriesResult(complex(total), terms, False, est),
+        best=SeriesResult(complex(total), terms, False, est, largest),
     )
 
 
@@ -358,7 +376,8 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
     term budget or leaves the double range raises :class:`BudgetError`
     with the partial sum as ``best``, and a product of lower-parameter
     factors that underflows to 0 (a lower parameter within underflow of
-    a pole) raises :class:`DomainError`.
+    a pole) raises :class:`DomainError`.  The result's ``largest`` is the
+    largest |term|, taken from the terms not yet below the stop rule.
     """
     series = _series(upper, lower)
     term = 1.0 if start_term is None else _narrow(start_term)
@@ -368,6 +387,7 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
     n = 0  # terms summed
     rel_tol, needed, budget = ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
     try:
+        largest = abs(term)
         while n < budget:
             ratios = series.ratios_for(min(budget, 2 * n + 16))
             if len(ratios) <= n:
@@ -380,19 +400,22 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
                 term = term * r * z
                 total += term
                 n += 1
-                if abs(term) <= rel_tol * abs(total):
+                size = abs(term)
+                if size <= rel_tol * abs(total):
                     small += 1
                     if small >= needed:
                         break
                 else:
                     small = 0
+                    if size > largest:
+                        largest = size
             if not cmath.isfinite(total):  # an infinite sum meets the stop rule too
-                raise _unconverged(upper, lower, n, total, term, _OUT_OF_RANGE)
+                raise _unconverged(upper, lower, n, total, term, largest, _OUT_OF_RANGE)
             if small >= needed:
-                return SeriesResult(complex(total), n, True, abs(term))
+                return SeriesResult(complex(total), n, True, size, largest)
     except OverflowError:  # abs() of a complex term past the double range
-        raise _unconverged(upper, lower, n, total, term, _OUT_OF_RANGE) from None
-    raise _unconverged(upper, lower, n, total, term)
+        raise _unconverged(upper, lower, n, total, term, math.inf, _OUT_OF_RANGE) from None
+    raise _unconverged(upper, lower, n, total, term, largest)
 
 
 _TAIL_CUT = 0.8  # sum the remainder as a series while |u| is at most this
@@ -568,9 +591,9 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
         return SeriesResult(scale, 0, True, 0.0)
     res = _pfq_at_unit_argument(upper, lower, ctrl) if unit else _sum_series(upper, lower, z, ctrl)
     if regularized:
-        res = SeriesResult(
-            res.value * scale, res.terms_used, res.converged, res.est_error * abs(scale)
-        )
+        size = abs(scale)
+        res = SeriesResult(res.value * scale, res.terms_used, res.converged,
+                           res.est_error * size, res.largest * size)
     return res
 
 
@@ -638,33 +661,16 @@ def _pow(base, exponent) -> complex:
         raise DomainError(f"({base:.6g})^{exponent} overflows") from None
 
 
-_INC_GAMMA_MAX_TERMS = 5000
+_GAMMA_CONTROL = _TAIL_CONTROL._replace(max_terms=5000)  # the remainder's stop rule
 
 
-# A loop of its own, not the series engine: there, K02's RHS would read the
-# ratio table of its LHS 1F1(1; 1+n; z) and agree with it more closely while
-# checking nothing new.  It can join the engine once K02's RHS is elementary.
 def _gamma_series(nu, z, over_power):
     """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), without its z^nu
-    when ``over_power``, with its largest term and the modulus of its sum."""
-    term = 1.0 / nu
-    total = term
-    largest = abs(term)
-    for k in range(_INC_GAMMA_MAX_TERMS):
-        term *= z / (nu + k + 1.0)
-        total += term
-        size = abs(term)
-        if size > largest:
-            largest = size
-        elif size <= 1e-17 * abs(total) + 5e-300:
-            break
-    else:
-        raise BudgetError(
-            f"incomplete gamma series did not converge in {_INC_GAMMA_MAX_TERMS} terms"
-        )
-    if over_power:
-        return cmath.exp(-z) * total, largest, abs(total)
-    return _pow(z, nu) * cmath.exp(-z) * total, largest, abs(total)
+    when ``over_power``, with its largest term and the modulus of its sum.
+    The sum is (1/nu) 1F1(1; nu+1; z), summed by the series engine."""
+    res = _sum_series((1.0,), (nu + 1.0,), z, _GAMMA_CONTROL, start_term=1.0 / nu)
+    scale = cmath.exp(-z) if over_power else _pow(z, nu) * cmath.exp(-z)
+    return scale * res.value, res.largest, abs(res.value)
 
 
 def _exp_polynomial_gamma(nu, z, over_power):
@@ -706,9 +712,11 @@ def _lower_gamma(nu, z, over_power) -> complex:
     for form in forms:
         try:
             value, largest, total = form(nu, z, over_power)
-        except (OverflowError, DomainError):  # DomainError: the series' z^nu overflows
+        # z^nu (DomainError) or the terms (BudgetError: within |z| <= 600 they
+        # reach 0 well inside the budget) leave the double range
+        except (OverflowError, DomainError, BudgetError):
             continue
-        if largest <= 1e8 * total and cmath.isfinite(value):
+        if largest <= _CANCELLATION_LIMIT * total and cmath.isfinite(value):
             return value
     raise DomainError(
         f"lower_incomplete_gamma({nu}, {z}): the evaluation loses more than 8 digits "
@@ -719,17 +727,18 @@ def _lower_gamma(nu, z, over_power) -> complex:
 def lower_incomplete_gamma(nu, z) -> complex:
     """Lower incomplete gamma gamma(nu, z) for Re nu > 0 (any integer
     nu >= 1 included), by the everywhere-convergent scaled series
-    z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)) or, for integer
+    z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)) = z^nu e^(-z)
+    1F1(1; nu+1; z) / nu, summed by the series engine (stopping at the
+    first term at or below 1e-17 of the partial sum), or, for integer
     nu = n, the exponential-polynomial form (n-1)! (1 - e^(-z) e_{n-1}(z)).
 
     Each form loses the digits its largest part exceeds its sum by: the
     series off the positive real axis at large |z|, the polynomial form
     at |z| small against n.  The first form that keeps about 8 digits
     (ratio at most 1e8) and a finite value gives the result, otherwise
-    :class:`DomainError` is raised (as at (0.3, 300i), (0.5, -500) or
-    (2, -800)); a series that misses its stop rule within the term
-    budget raises :class:`BudgetError`, and a non-finite ``nu`` or ``z``
-    :class:`DomainError`.
+    :class:`DomainError` is raised (as at (0.3, 300i), (0.5, -500),
+    (2, -800) or (1e-300, 150), where the series' terms overflow); so is
+    it for a non-finite ``nu`` or ``z``.
     """
     return _lower_gamma(nu, z, over_power=False)
 
@@ -804,8 +813,10 @@ def legendre_p(nu, mu, x) -> complex:
     the principal-branch prefactor ((x+1)/(x-1))^(mu/2) applies.  Needs
     |1-x| < 2 for the series.  Real |x| below 2^-10 takes the Ferrers
     expansion about x = 0 instead, where the series in (1-x)/2 would
-    cancel down to a value that vanishes with x (P_1^0(x) = x).
-    Satisfies P_{-nu-1}^mu = P_nu^mu.
+    cancel down to a value that vanishes with x (P_1^0(x) = x).  Where
+    the series in (1-x)/2 cancels by more than 8 digits (its largest term
+    above 1e8 times its sum, as at moderate degree away from x = 1),
+    :class:`DomainError` is raised.  Satisfies P_{-nu-1}^mu = P_nu^mu.
     """
     nu, mu, x = complex(nu), complex(mu), complex(x)
     if x.imag == 0.0 and abs(x.real) < _FERRERS_ZERO_CUT:
@@ -826,7 +837,8 @@ def legendre_p(nu, mu, x) -> complex:
         pref = _pow((1.0 + x) / (1.0 - x), mu / 2.0)
     else:
         pref = _pow((x + 1.0) / (x - 1.0), mu / 2.0)
-    return pref * hyp_pfq_regularized((nu + 1.0, -nu), (1.0 - mu,), w).value
+    res = hyp_pfq_regularized((nu + 1.0, -nu), (1.0 - mu,), w)
+    return pref * _kept_digits(res, "legendre_p")
 
 
 def legendre_polynomial(n: int, x) -> complex:

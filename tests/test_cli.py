@@ -134,6 +134,18 @@ class TestEvalCommand:
             captured = capsys.readouterr()
             assert captured.out == "" and "did not converge" in captured.err
 
+    @pytest.mark.parametrize("args", [
+        ["1f1", "0.5", "0.5", "-40"],  # once 1.5645; e^-40 from terms up to 1.5e16
+        ["2f1", "20.5", "21", "22", "-0.9"],  # once 129.235; mpmath 3.4614e-6
+        ["2f1", "-1", "1", "1", "1"],  # 1 - 1: the terms cancel to exactly 0
+        ["legendre_p", "60.3", "0.5", "0.3"],  # once 1049204105922.19; mpmath -0.0082371
+        ["legendre_p", "30", "0", "0.5"],  # once 3.2e-5 off
+    ])
+    def test_cancelled_series(self, args, capsys):
+        assert main(["eval", *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cancellation" in captured.err
+
     def test_lower_parameter_within_underflow_of_a_pole(self, capsys):
         assert main(["eval", "3f2", "1", "1", "1", "1e-200", "1e-200", "0.5"]) == 3
         captured = capsys.readouterr()
@@ -480,7 +492,9 @@ class TestCheckGrids:
     @pytest.mark.parametrize("ids,grid", [
         # 2/t (1 - sqrt(1-t)) cancelled: rel_err 8.2e-8, 8.9e-5, 8.3e-8
         ("I01", ["t:1e-9,1e-12,-1e-10"]),
-        # (-z)^(-n) raised a bare ZeroDivisionError
+        # (-z)^(-n) raised a bare ZeroDivisionError; K02's elementary RHS
+        # cancels inside |z| < 1, so its domain is 1 <= |z| <= 8 and its
+        # point is skipped
         ("K01,K02", ["n:5", "z:1e-70"]),
     ])
     def test_tiny_arguments_pass(self, ids, grid, tmp_path):
@@ -488,7 +502,12 @@ class TestCheckGrids:
         flags = [f for g in grid for f in ("--grid", g)]
         assert main(["check", "--ids", ids, *flags, "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
-        assert records and all(r["verdict"] == "pass" and r["rel_err"] < 1e-15 for r in records)
+        assert records
+        for r in records:
+            if r["identity_id"] == "K02":
+                assert r["verdict"] == "skipped_domain"
+            else:
+                assert r["verdict"] == "pass" and r["rel_err"] < 1e-15
 
     def test_huge_j2_argument_is_skipped(self, tmp_path):
         # (-x/p)^n and the deep-node x^n once raised a bare OverflowError

@@ -5,9 +5,10 @@ from random import Random
 
 import pytest
 
-from trihyp import identities
-from trihyp.errors import BudgetError, DomainError
+from trihyp import identities, specfun
+from trihyp.errors import BudgetError, DomainError, TrihypError
 from trihyp.identities import (
+    coerce_params,
     default_grid,
     eval_identity,
     faa_di_bruno_derivative,
@@ -23,7 +24,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def rel(a, b):
-    return abs(a - b) / max(1.0, abs(b))
+    return abs(a - b) / max(abs(b), 2.0**-1022)
 
 
 # reference elementary forms of I13 and of the n = 1, 2 members of I14,
@@ -232,6 +233,85 @@ class TestEquivalences:
                      (_rhs_i07(n, t), _rhs_i09(n, t)))
             worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(abs(q[0]), sys.float_info.min))
             assert (rec.lhs_value, rec.rhs_value) == worst
+
+
+class TestKummerK02:
+    def test_elementary_rhs_vs_mpmath(self):
+        # n! (e^z - e_{n-1}(z)) / z^n on 1 <= |z| <= 8, where it keeps its digits
+        mpmath = pytest.importorskip("mpmath")
+        rhs = get_identity("K02").rhs
+        rng = Random(24)
+        for n in range(1, 6):
+            edges = [1.0, -1.0, 1j, 8.0, -8.0]
+            for z in edges + [rng.uniform(1.0, 8.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                              for _ in range(60)]:
+                with mpmath.workdps(40):
+                    ref = complex(mpmath.hyp1f1(1, 1 + n, z))
+                assert abs(rhs(n, z) - ref) <= 1e-13 * abs(ref), (n, z)
+
+    def test_domain_leaves_out_the_cancelling_disc(self):
+        desc = get_identity("K02")
+        assert not desc.in_domain(n=5, z=0.99) and desc.in_domain(n=5, z=1.0)
+        assert eval_identity("K02", {"n": 1, "z": 0.0}, 1e-8).verdict == "skipped_domain"
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """A list that receives the (upper, lower, z) of every series-engine sum."""
+    calls = []
+    original = specfun._sum_series
+
+    def recording(upper, lower, z, *args, **kwargs):
+        calls.append((tuple(map(complex, upper)), tuple(map(complex, lower)), complex(z)))
+        return original(upper, lower, z, *args, **kwargs)
+
+    monkeypatch.setattr(specfun, "_sum_series", recording)
+    return calls
+
+
+def _shared_series(desc, params, calls):
+    """The series both sides of a point sum at one argument."""
+    sides = []
+    for side in (desc.lhs, desc.rhs):
+        calls.clear()
+        try:
+            side(**params)
+        except TrihypError:
+            pass
+        sides.append(set(calls))
+    return sides[0] & sides[1]
+
+
+_I09_SHARES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="I09's RHS binomial_remainder(-n-1/2, n+1, t) sums 2F1(1/2, 1; n+2; t), "
+    "its LHS series, wherever |t| <= 0.8",
+)
+
+
+class TestRouteIndependence:
+    """No entry may check a series against itself: on the default grid,
+    the two sides of a point never sum one series at one argument."""
+
+    @pytest.mark.parametrize("cid", [
+        pytest.param(d.id, marks=_I09_SHARES) if d.id == "I09" else d.id
+        for d in list_identities() if not d.quadrature
+    ])
+    def test_sides_share_no_series(self, cid, series_calls):
+        desc = get_identity(cid)
+        shared = [point for point in default_grid(cid)
+                  if _shared_series(desc, coerce_params(cid, point), series_calls)]
+        assert shared == []
+
+    def test_sees_a_shared_series(self, series_calls):
+        # K02 with its old RHS n e^z gamma(n, z)/z^n, whose incomplete gamma
+        # is the LHS series 1F1(1; 1+n; z) on the series engine
+        desc = get_identity("K02")._replace(
+            rhs=lambda n, z: n * cmath.exp(z) * specfun.lower_incomplete_gamma_over_power(n, z))
+        shared = [point for point in default_grid("K02")
+                  if _shared_series(desc, coerce_params("K02", point), series_calls)]
+        assert len(shared) == 200
 
 
 class TestVerdictRule:

@@ -10,7 +10,15 @@ import pytest
 from trihyp import specfun
 from trihyp.cli import _CLI_CONTROL
 from trihyp.errors import BudgetError, DomainError
-from trihyp.specfun import SeriesControl, hyp1f1, hyp2f1, hyp_pfq, hyp_pfq_regularized
+from trihyp.specfun import (
+    SeriesControl,
+    hyp1f1,
+    hyp2f1,
+    hyp_pfq,
+    hyp_pfq_regularized,
+    pochhammer,
+    rgamma,
+)
 
 # (regularized, upper, lower, z, control)
 CASES = [
@@ -76,15 +84,41 @@ class TestRatioTable:
         assert specfun._SERIES_LIMIT > _CLI_CONTROL.max_terms
 
 
-class TestRealCarrier:
-    @staticmethod
-    def largest_term(upper, lower, z, terms):
-        t, largest = 1.0, 1.0
-        for k in range(terms):
-            t *= math.prod(a + k for a in upper) / math.prod(b + k for b in lower) * z / (k + 1)
-            largest = max(largest, abs(t))
-        return largest
+def largest_term(upper, lower, z, terms, k0=0, t0=1.0):
+    """The largest |t_k| of ``terms`` terms past t_k0 = ``t0``, each from the one before."""
+    t, largest = t0, abs(t0)
+    for k in range(k0, k0 + terms):
+        t *= math.prod(a + k for a in upper) / math.prod(b + k for b in lower) * z / (k + 1)
+        largest = max(largest, abs(t))
+    return largest
 
+
+class TestLargestTerm:
+    def test_matches_the_terms(self):
+        for case in CASES:
+            regularized, upper, lower, z, _ = case
+            res = evaluate(case)
+            # past every lower-parameter pole, where a regularized sum starts
+            k0 = max((1 - int(b) for b in lower if specfun.is_nonpositive_integer(b)), default=0)
+            t0 = math.prod(pochhammer(a, k0) for a in upper) * z**k0 / math.factorial(k0)
+            if regularized:
+                t0 *= math.prod(rgamma(b + k0) for b in lower)
+            expected = largest_term(upper, lower, z, res.terms_used, k0, t0)
+            assert abs(res.largest - expected) <= 1e-12 * expected, case
+
+    def test_cancellation_shows(self):
+        # 1F1(0.5; 0.5; -40) = e^-40 ~ 4e-18, summed from terms (-40)^k/k! of
+        # up to 40^40/40! ~ 1.5e16: the sum keeps none of its digits
+        res = hyp_pfq((0.5,), (0.5,), -40.0, _CLI_CONTROL)
+        assert res.largest == pytest.approx(40.0**40 / math.factorial(40), rel=1e-12)
+        assert res.largest > 1e15 * abs(res.value)
+
+    def test_zero_where_nothing_is_summed(self):
+        assert hyp_pfq((0.5, 1.0), (2.0,), 0.0).largest == 0.0  # z = 0
+        assert hyp_pfq((0.5, 1.0), (2.0,), 1.0).largest == 0.0  # Gauss's formula
+
+
+class TestRealCarrier:
     def check_vs_mpmath(self, mpmath, upper, lower, z):
         # a stop rule this fine leaves the rounding of the float carrier as
         # the error (the default one truncates near 1e-12 at |z| = 0.9)
@@ -92,7 +126,7 @@ class TestRealCarrier:
         assert res.value.imag == 0.0
         with mpmath.workdps(40):
             ref = float(mpmath.hyper(upper, lower, z))
-        if self.largest_term(upper, lower, z, res.terms_used) > 10.0 * abs(ref):
+        if largest_term(upper, lower, z, res.terms_used) > 10.0 * abs(ref):
             return False  # cancellation costs digits on any carrier
         assert abs(res.value.real - ref) <= 1e-13 * abs(ref)
         return True
