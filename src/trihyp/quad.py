@@ -108,7 +108,7 @@ def _exp_sinh_node(tau: float):
 
 def _first_truncation_point(decay_rate: float) -> float:
     """The window end T that the truncation-point search starts from."""
-    return max(50.0 / decay_rate, 40.0)
+    return 50.0 / decay_rate
 
 
 def integrate_semi_infinite(
@@ -120,29 +120,26 @@ def integrate_semi_infinite(
     """Integrate ``f`` over (0, infinity) to the relative accuracy ``tol``.
 
     ``singular_exponent`` is the power of t as t -> 0 (finite, above -1),
-    ``decay_rate`` the exponential tail rate (finite, >= 0) and ``tol``
-    finite and positive; any of them out of range raises
-    :class:`DomainError`.  Exponentially decaying
-    integrands are truncated at T, starting from max(50/decay_rate, 40),
-    and integrated with tanh-sinh on [0, T]; a negative exponent first
-    goes through the substitution t = u^m that flattens the origin
-    singularity.  The truncation bound |f(T)|/decay_rate is held under
-    tol/10 times the modulus of the coarsest level (h = 0.5): while it is
-    not, T grows by 1.5 (up to 1e6) and that level is redone.  A
-    zero decay rate selects the exp-sinh transform of the full half line.
-    Both rules are one trapezoidal level sum over tau in [-6.5, 6.5]
-    and differ only in the node map tau -> (t, weight).  Within a level,
-    each end (t -> 0 and t -> T, or t -> 0 and t -> infinity) stops on
+    ``decay_rate`` the exponential tail rate (finite, >= 0) and ``tol`` finite
+    and positive; any of them out of range raises :class:`DomainError`.
+    Exponentially decaying integrands are truncated at T, starting from
+    50/decay_rate, and integrated with tanh-sinh on [0, T]; a negative
+    exponent first goes through the substitution t = u^m that flattens the
+    origin singularity.  The truncation bound |f(T)|/decay_rate is held under
+    tol/10 times the modulus of the coarsest level (h = 0.5): while it is not,
+    T grows by 1.5 (up to 1e6) and that level is redone; no other rule sizes
+    the window.  A zero decay rate selects the exp-sinh transform of the full
+    half line.  Both rules are one trapezoidal level sum over tau in
+    [-6.5, 6.5] and differ only in the node map tau -> (t, weight).  Within a
+    level, each end (t -> 0 and t -> T, or t -> 0 and t -> infinity) stops on
     its own after two successive contributions at or below 1e-18 of the
-    running sum.
-    The levels halve h from 0.5 and are nested: each finer level
-    evaluates only its new odd-index nodes, so no node is evaluated
-    twice, and ``evaluations`` counts each integrand call once (the
-    truncation-point search included).  A level is accepted once its
-    change plus the truncation bound is at most tol * |value| / 3, so an
-    integral that is exactly 0 has no accepted level.  A result not
-    converged at the finest level (h = 0.5/64) raises
-    :class:`BudgetError` with the last estimate attached.
+    running sum.  The levels halve h from 0.5 and are nested: each finer level
+    evaluates only its new odd-index nodes, so no node is evaluated twice, and
+    ``evaluations`` counts each integrand call once (the truncation-point
+    search included).  A level is accepted once its change plus the truncation
+    bound is at most tol * |value| / 3, so an integral that is exactly 0 has
+    no accepted level.  A result not converged at the finest level
+    (h = 0.5/64) raises :class:`BudgetError` with the last estimate attached.
     """
     if not -1.0 < singular_exponent < math.inf:
         raise DomainError("singular_exponent must be finite and exceed -1 for integrability")
@@ -294,7 +291,7 @@ def j3_integral(p, x, tol) -> complex:
     """int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt for real x > 0.
 
     Raises :class:`DomainError` when the cylinder function would leave its
-    series range before the first truncation point."""
+    series range before the first truncation point (x > 5 Re p / 3)."""
     decay = (2.0 * p - x).real / 2.0
     if x.real * _first_truncation_point(decay) > 500.0:
         raise DomainError("decay too slow for the cylinder-function range")

@@ -107,6 +107,37 @@ class _GammaUnderflow(DomainError):
     """gamma(z) is below the normal double range, so 1/gamma(z) overflows."""
 
 
+def _log_reflection(z: complex) -> complex:
+    """log gamma(z) = log pi - log sin(pi z) - log gamma(1 - z) on Re z < 1/2,
+    formed in logs, so that neither sin(pi z) nor gamma(1 - z) has to lie
+    in the double range.  The period of sin is reduced out first: with n
+    the integer nearest Re z, sin(pi z) = (-1)^n sin(w), w = pi (z - n),
+    and where sin(w) overflows, sin w = e^(-isw)(1 - e^(2isw))/(-2is)
+    with s the sign of Im w.  The value is determined modulo 2 pi i."""
+    n = round(z.real)
+    w = math.pi * (z - n)
+    try:
+        log_sin = cmath.log(cmath.sin(w))
+    except OverflowError:  # |Im w| above about 710
+        s = math.copysign(1.0, w.imag)
+        log_sin = -1j * s * w + cmath.log((1.0 - cmath.exp(2j * s * w)) / (-2j * s))
+    power, t, acc = _lanczos(1.0 - z)
+    log_gamma_1mz = power * cmath.log(t) - t + cmath.log(SQRT_TWO_PI * acc)
+    return math.log(math.pi) - log_sin - 1j * math.pi * (n % 2) - log_gamma_1mz
+
+
+def _exp_on_axis(log_value: complex, z: complex) -> complex:
+    """exp(log_value), real where z is (its phase is then a multiple of pi);
+    OverflowError where it is not finite."""
+    try:
+        value = cmath.exp(log_value)
+    except ValueError:  # an infinite phase, from |z| near the top of the double range
+        raise OverflowError from None
+    if not cmath.isfinite(value):
+        raise OverflowError
+    return value if z.imag else complex(value.real)
+
+
 def gamma(z) -> complex:
     """Complex gamma function.
 
@@ -116,13 +147,15 @@ def gamma(z) -> complex:
     overflows (real z above about 142.5) it is formed together with
     e^(-t) as one exponential, which keeps the value finite up to real
     z of about 171.6 (relative error about 1e-13 there, from rounding
-    the exponent).  :class:`DomainError` is raised at a pole, for a
-    non-finite ``z``, where |Im z| puts the value below the normal
-    double range ("gamma underflows"; |Im z| above about 450 near
-    Re z = 0), and where the value or an intermediate overflows (real z
-    above about 171.6, below about -170.6 through the reflection, within
-    about 5.6e-309 of 0, and |Im z| above about 226 at Re z < 1/2, where
-    the reflection's sin(pi z) does).
+    the exponent).  Where the reflection's sin(pi z) or gamma(1 - z)
+    leaves the double range (|Im z| above about 226, real z below about
+    -170.6) or its value is not a normal double, the reflection is formed
+    in logs and its exponential returned.  :class:`DomainError` is raised
+    at a pole, for a non-finite ``z``, where the value is below the
+    normal double range ("gamma underflows": Re z below about -171.6
+    away from the poles, or |Im z| above about 450 near Re z = 0), and
+    where it overflows (real z above about 171.6, and within about
+    5.6e-309 of 0).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -132,20 +165,16 @@ def gamma(z) -> complex:
     try:
         if z.real < 0.5:
             try:
-                sine = cmath.sin(math.pi * z)
-            except OverflowError:  # |Im z| above about 226
-                # log|sin(pi z)| = pi |Im z| - log 2 to double precision here
-                power, t, acc = _lanczos(1.0 - z)
-                log_abs = (math.log(2.0 * math.pi) - math.pi * abs(z.imag)
-                           - (power * cmath.log(t) - t).real - math.log(SQRT_TWO_PI * abs(acc)))
-                if log_abs < _LOG_TINY:
-                    raise _GammaUnderflow(f"gamma underflows at z = {z}") from None
-                raise
-            # gamma(z) * gamma(1-z) = pi / sin(pi z)
-            value = math.pi / (sine * gamma(1.0 - z))
-            if not cmath.isfinite(value):  # near 0, where gamma(z) ~ 1/z
-                raise OverflowError
-            return value
+                # gamma(z) * gamma(1-z) = pi / sin(pi z)
+                value = math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
+            except (OverflowError, DomainError):  # sin(pi z) or gamma(1 - z) overflows
+                value = 0.0
+            if cmath.isfinite(value) and abs(value) >= sys.float_info.min:
+                return value
+            log_value = _log_reflection(z)
+            if not log_value.real >= _LOG_TINY:  # nan where |z| nears the top of the range
+                raise _GammaUnderflow(f"gamma underflows at z = {z}")
+            return _exp_on_axis(log_value, z)  # OverflowError near 0, where gamma(z) ~ 1/z
         power, t, acc = _lanczos(z)
         try:
             value = SQRT_TWO_PI * t ** power * cmath.exp(-t) * acc
@@ -157,23 +186,29 @@ def gamma(z) -> complex:
             if not cmath.isfinite(value):
                 raise OverflowError
         return value
-    except _GammaUnderflow:
-        raise
-    except (OverflowError, DomainError):  # DomainError: the reflection's gamma(1-z) overflows
+    except OverflowError:
         raise DomainError(f"gamma overflows at z = {z}") from None
 
 
 def rgamma(z) -> complex:
     """Reciprocal gamma, entire: returns exactly 0 at the poles of gamma,
-    and 0 where gamma overflows at Re z >= 1/2.  :class:`DomainError` is
-    raised for a non-finite ``z`` and where 1/gamma itself overflows (real
-    z below about -170.6, and far off the real axis, where gamma underflows)."""
+    and 0 where gamma overflows at Re z >= 1/2.  Where gamma underflows at
+    Re z < 1/2, 1/gamma is formed by the reflection in logs as well.
+    :class:`DomainError` is raised for a non-finite ``z`` and where 1/gamma
+    itself overflows (real z below about -171.6 away from the poles, |Im z|
+    above about 450 near Re z = 0, and far off the real axis at
+    Re z >= 1/2, where gamma underflows to 0)."""
     z = complex(z)
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     try:
         return 1.0 / gamma(z)
-    except (ZeroDivisionError, _GammaUnderflow):  # gamma underflows (far off the real axis)
+    except _GammaUnderflow:  # Re z < 1/2, where 1/gamma(z) is formed in logs too
+        try:
+            return _exp_on_axis(-_log_reflection(z), z)
+        except OverflowError:
+            raise DomainError(f"1/gamma overflows at z = {z}") from None
+    except ZeroDivisionError:  # gamma underflows to 0 far off the real axis
         raise DomainError(f"1/gamma overflows at z = {z}") from None
     except DomainError:
         if cmath.isfinite(z) and z.real >= 0.5:
@@ -761,7 +796,9 @@ def incomplete_beta(nu, mu, t) -> complex:
     B(nu,mu,t) = (t^nu / nu) 2F1(nu, 1-mu; nu+1; t); at t = 1 the
     complete-beta gamma ratio is returned (as the analytic continuation
     when Re mu <= 0, matching the limit treatment in the identity
-    catalog).
+    catalog).  Where the 2F1 cancels by more than 8 digits (its largest
+    term above 1e8 times its sum, as at large negative mu near t = -1),
+    :class:`DomainError` is raised.
     """
     nu, mu, t = complex(nu), complex(mu), complex(t)
     if nu.real <= 0:
@@ -772,7 +809,8 @@ def incomplete_beta(nu, mu, t) -> complex:
         if is_nonpositive_integer(mu):
             raise DivergenceError("B(nu, mu, 1) has a pole at nonpositive integer mu")
         return gamma(nu) * gamma(mu) * rgamma(nu + mu)
-    series = hyp2f1(nu, 1.0 - mu, nu + 1.0, t)  # checks t before t^nu can overflow
+    # checks t before t^nu can overflow
+    series = _kept_digits(hyp_pfq((nu, 1.0 - mu), (nu + 1.0,), t), "incomplete_beta")
     value = _pow(t, nu) / nu * series
     if not cmath.isfinite(value):
         raise DomainError(f"incomplete_beta({nu}, {mu}, {t}) is not finite")
@@ -801,7 +839,10 @@ def _ferrers_near_zero(nu, mu, x: float) -> complex:
         bracket -= 2.0 * x * odd * hyp_pfq((a + 0.5, b + 0.5), (1.5,), x2).value
     if bracket == 0:  # both weights at poles: 2^mu is not formed (it overflows near mu = 1e300)
         return bracket
-    return _pow(2.0, mu) * SQRT_PI * _pow(1.0 - x2, -mu / 2.0) * bracket
+    value = _pow(2.0, mu) * SQRT_PI * _pow(1.0 - x2, -mu / 2.0) * bracket
+    if not cmath.isfinite(value):  # the product of two reciprocal gammas overflows
+        raise DomainError(f"legendre_p({nu}, {mu}, {x}) is not finite")
+    return value
 
 
 def legendre_p(nu, mu, x) -> complex:

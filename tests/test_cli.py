@@ -140,6 +140,7 @@ class TestEvalCommand:
         ["2f1", "-1", "1", "1", "1"],  # 1 - 1: the terms cancel to exactly 0
         ["legendre_p", "60.3", "0.5", "0.3"],  # once 1049204105922.19; mpmath -0.0082371
         ["legendre_p", "30", "0", "0.5"],  # once 3.2e-5 off
+        ["beta_inc", "2.5", "-30.5", "-0.9"],  # once -6.1e-05-1.99e11i; mpmath 2.76e-4i
     ])
     def test_cancelled_series(self, args, capsys):
         assert main(["eval", *args]) == 3
@@ -570,6 +571,15 @@ class TestIntegrateCommand:
         assert main(["integrate", "J1", "--n", "0", "--s", "2", "--x", "1"]) == 0
         out = capsys.readouterr().out
         assert "quadrature" in out and "closed form" in out and "pass" in out
+
+    @pytest.mark.parametrize("args", [["J1", "--n", "2", "--s", "100", "--x", "50"],
+                                      ["J2", "--n", "1", "--p", "100", "--x", "1"]])
+    def test_fast_decay(self, args, capsys):
+        # the window once started at T = 40, 4000 decay lengths here, and the
+        # quadrature printed "none"
+        assert main(["integrate", *args]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] != "quadrature  = none" and out[2].endswith("verdict = pass")
 
     def test_side_without_value(self, capsys):
         # in the J1 domain, but the slowly damped oscillation exhausts the quadrature budget

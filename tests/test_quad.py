@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from trihyp.errors import BudgetError, DomainError
-from trihyp.identities import check_point
+from trihyp.identities import check_point, get_identity
 from trihyp.quad import (
     integrate_semi_infinite,
     j1_closed_form,
@@ -258,6 +258,42 @@ class TestJ3:
         assert rec.verdict == "pass"
         assert abs(rec.lhs_value - limit) < 1e-3
         assert abs(j3_closed_form(1.0, 0.0) - limit) < 1e-12
+
+
+_FAST_DECAY_POINTS = [
+    ("J0", {"a": (), "b": (1.5,), "alpha": 1.2, "s": 60, "x": 10}),
+    ("J0", {"a": (0.7,), "b": (1.3,), "alpha": 0.8, "s": 100, "x": -30}),
+    ("J0", {"a": (0.5, 1.1), "b": (1.7, 2.2), "alpha": 2, "s": 200, "x": 50}),
+    ("J1", {"n": 1, "s": 50, "x": 1}),
+    ("J1", {"n": 2, "s": 100, "x": 50}),
+    ("J1", {"n": 0, "s": 1e3, "x": 10}),
+    ("J1", {"n": 2, "s": 1e6, "x": 1}),
+    ("J2", {"n": 1, "p": 50, "x": 1}),
+    ("J2", {"n": 1, "p": 100, "x": 1}),
+    ("J2", {"n": 2, "p": 1e3, "x": 5}),
+    ("J2", {"n": 1, "p": 1e8, "x": 1}),
+    ("J3", {"p": 10, "x": 16}),
+    ("J3", {"p": 20, "x": 20}),
+    ("J3", {"p": 100, "x": 150}),
+    ("J3", {"p": 1000, "x": 1600}),
+]
+
+
+class TestFastDecayWindow:
+    # the window starts at T = 50/decay; a fixed floor of T = 40 once spread
+    # the nodes over hundreds of decay lengths, and each of these points was a
+    # false "fail" (J0-J2) or outside J3's range (then also x <= 12.5)
+    @pytest.mark.parametrize("cid,params", _FAST_DECAY_POINTS,
+                             ids=[f"{c}-{i}" for i, (c, _) in enumerate(_FAST_DECAY_POINTS)])
+    def test_in_domain_point_passes(self, cid, params):
+        rec = check_point(cid, params, get_identity(cid).tolerance)
+        assert rec.verdict == "pass", rec
+
+    def test_j3_range_ends_at_five_thirds_of_p(self):
+        # x * 50/decay <= 500 with decay = p - x/2; the floor capped x at 12.5
+        assert check_point("J3", {"p": 30.0, "x": 50.0}, 1e-5).verdict == "pass"
+        with pytest.raises(DomainError):
+            check_point("J3", {"p": 30.0, "x": 50.001}, 1e-5)
 
 
 class TestAdmissibleGrids:

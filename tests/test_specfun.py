@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from itertools import combinations
 from random import Random
 
@@ -174,10 +175,56 @@ class TestGamma:
                 gamma(z)
             assert rgamma(z) == 0
 
-    @pytest.mark.parametrize("z", [200, 172, -200.5, -0.5 + 300j])
+    @pytest.mark.parametrize("z", [200, 172])
     def test_overflow_is_domain_error(self, z):
         with pytest.raises(DomainError, match="overflows"):
             gamma(z)
+
+    @pytest.mark.parametrize("z", [-200.5, -171.5, -100.5 + 200j])
+    def test_reflection_underflow_is_domain_error(self, z):
+        # |gamma(-200.5)| ~ 2.8e-376; where gamma(1 - z) or sin(pi z) overflowed
+        # the reflection once said "gamma overflows" (or returned -0 where
+        # their product did)
+        with pytest.raises(DomainError, match=r"^gamma underflows at z = "):
+            gamma(z)
+
+    @pytest.mark.parametrize("z", [-0.5 + 300j, -171.0000001, -0.5 - 440j, -40.5 + 240j])
+    def test_reflection_in_logs_vs_mpmath(self, z):
+        # sin(pi z) or gamma(1 - z) leaves the double range though gamma(z)
+        # and 1/gamma(z) do not; each was once refused as "gamma overflows"
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref, rref = complex(mpmath.gamma(z)), complex(mpmath.rgamma(z))
+        assert abs(gamma(z) - ref) <= 1e-11 * abs(ref)
+        assert abs(rgamma(z) - rref) <= 1e-11 * abs(rref)
+        if complex(z).imag == 0:
+            assert gamma(z).imag == 0 and rgamma(z).imag == 0
+
+    def test_reflection_bands_vs_mpmath(self):
+        # every value returned where the reflection is formed in logs, and
+        # every refusal there an underflow of gamma or an overflow of 1/gamma
+        mpmath = pytest.importorskip("mpmath")
+        rng = Random(20260811)
+        bands = (
+            lambda: complex(rng.uniform(-185.0, -170.6)),  # gamma(1 - z) overflows
+            lambda: -rng.randint(171, 185) + rng.choice((1, -1)) * 10 ** rng.uniform(-12, -1),
+            lambda: complex(rng.uniform(-60.0, 0.5), rng.choice((1, -1)) * rng.uniform(226, 470)),
+            lambda: complex(rng.uniform(-170.0, -20.0), rng.choice((1, -1)) * rng.uniform(50, 226)),
+        )
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        for band in bands:
+            for _ in range(150):
+                z = band()
+                with mpmath.workdps(30):
+                    ref, rref = mpmath.gamma(z), mpmath.rgamma(z)
+                for fn, exact, limit in ((gamma, ref, "underflows"), (rgamma, rref, "overflows")):
+                    try:
+                        value = fn(z)
+                    except DomainError as exc:
+                        assert limit in str(exc), (fn.__name__, z, exc)
+                        assert not tiny <= abs(exact) <= huge, (fn.__name__, z, exc)
+                    else:
+                        assert abs(value - exact) <= 1e-11 * abs(exact), (fn.__name__, z)
 
     @pytest.mark.parametrize("z", [142.6, 143, 150, 171, 150 + 1j, -150.5])
     def test_large_argument_vs_mpmath(self, z):
@@ -210,7 +257,7 @@ class TestGamma:
 
     def test_reciprocal_overflow_is_domain_error(self):
         # 1/gamma(-200.5) = sin(-200.5 pi) gamma(201.5) / pi is beyond the double range
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="1/gamma overflows"):
             rgamma(-200.5)
 
     def test_reciprocal_where_gamma_underflows_is_domain_error(self):
@@ -235,10 +282,13 @@ class TestGamma:
         with pytest.raises(DomainError, match=r"^1/gamma overflows at z = 700j$"):
             fn(700j)
 
-    @pytest.mark.parametrize("fn", [gamma, rgamma])
-    def test_reflection_overflow_names_the_callers_argument(self, fn):
-        # not the 201.5 of the inner gamma(1 - z)
-        with pytest.raises(DomainError, match=r"gamma overflows at z = \(-200\.5\+0j\)"):
+    @pytest.mark.parametrize("fn,message", [(gamma, "gamma underflows"),
+                                            (rgamma, "1/gamma overflows")],
+                             ids=["gamma", "rgamma"])
+    def test_reflection_overflow_names_the_callers_argument(self, fn, message):
+        # not the 201.5 of the inner gamma(1 - z), which overflows; both
+        # once said "gamma overflows"
+        with pytest.raises(DomainError, match=rf"^{message} at z = \(-200\.5\+0j\)$"):
             fn(-200.5)
 
 
@@ -609,6 +659,13 @@ class TestIncompleteBeta:
     ])
     def test_out_of_range_is_domain_error(self, nu, mu, t, message):
         with pytest.raises(DomainError, match=message):
+            incomplete_beta(nu, mu, t)
+
+    @pytest.mark.parametrize("nu,mu,t", [(2.5, -30.5, -0.9), (3, -25.5, -0.8)])
+    def test_cancelled_series_is_refused(self, nu, mu, t):
+        # the largest term of 2F1(nu, 1 - mu; nu + 1; t) is about 7e14 times the
+        # sum at the first: once -6.1e-05-1.99e11i, mpmath 2.76e-4i
+        with pytest.raises(DomainError, match="cancellation"):
             incomplete_beta(nu, mu, t)
 
 
