@@ -7,7 +7,9 @@ flags or a JSON config file) and ``integrate`` (one-off semi-infinite
 quadratures).
 
 Exit codes: 0 all pass, 1 check failures, 2 usage error, 3 domain
-error, 4 I/O error.  Subcommands raise; :func:`main` alone turns an
+error, 4 I/O error, 141 (128 + SIGPIPE, as a tool the signal stops
+reports) when the reader of standard output closes it early, as
+``| head -0`` does.  Subcommands raise; :func:`main` alone turns an
 error into its ``error:`` line and exit code.
 """
 
@@ -20,6 +22,7 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 import time
 from typing import NamedTuple
@@ -50,6 +53,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _CliError(Exception):
@@ -646,10 +650,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # the one place an error becomes its message and exit code
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit's flush
+        return code
     except (_CliError, TrihypError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _CliError) else EXIT_DOMAIN
+    except BrokenPipeError:
+        # the reader went away: what is left of the output goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

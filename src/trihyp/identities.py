@@ -6,10 +6,11 @@ Every entry pairs the special-function side (LHS, evaluated through the
 :mod:`trihyp.quad` quadrature) with an independently coded elementary
 side (RHS).  The two sides share nothing but ``specfun`` primitives, so
 agreement on sampled parameters is a genuine cross-check.  Each entry
-also carries a domain predicate encoding the piecewise exclusions, the
-numerically validated branch region or the integral's hypotheses, a
-deterministic sampler for that domain, and its default tolerance and
-grid size.
+declares its domain once, as a :class:`Domain` value (the n range, the
+discs and real segments, the exact points) or, for an integral, as its
+:class:`Hypotheses`; the domain predicate, the deterministic sampler of
+the default grid and the domain text all derive from it.  Each entry
+also has its default tolerance and grid size.
 
 Several printed elementary forms (I02-I05, I07-I10, and the J1/J2 closed
 forms of :mod:`trihyp.quad`) hold a bracket ``1 - (truncated binomial
@@ -74,18 +75,19 @@ class ParamSpec(NamedTuple):
 
 
 class IdentityDescriptor(NamedTuple):
-    """One catalog entry: paired LHS/RHS evaluators plus metadata."""
+    """One catalog entry: paired LHS/RHS evaluators plus metadata.  Its
+    ``domain`` (a :class:`Domain`, or an integral's :class:`Hypotheses`)
+    gives its parameters, its predicate ``in_domain``, its default-grid
+    sampler and its domain text."""
 
     id: str
-    params: tuple
-    domain: str
+    params: tuple  # the domain's
+    in_domain: Callable[..., bool]  # the domain's predicate, called with a point's parameters
+    domain: "Domain | Hypotheses"
     lhs: Callable[..., complex]
     rhs: Callable[..., complex]
     anchor: str
-    in_domain: Callable[..., bool] = lambda **kw: True
-    sample: Callable[[Random], dict] | None = None  # None: fixed points only
     special_points: tuple = ()
-    notes: str = ""
     tolerance: float = 1e-8  # default tolerance of a sweep
     grid_size: int = 200  # points of the default grid, special points first
     quadrature: bool = False  # LHS by quadrature to tol/10: it takes tol, and records keep it
@@ -242,6 +244,7 @@ def _rhs_i10(n, t):
 
 
 def _rhs_i11(n, t):
+    # the n = 1 row is the t-independent value 1
     return 2.0 * pochhammer(0.5, n) * complex(t) ** (n - 1)
 
 
@@ -259,12 +262,16 @@ def i13_rhs(z) -> complex:
 
 
 def _h_coeff(s: int, z) -> complex:
-    """h_s(z), the s-th derivative of (1/3) asin(sqrt(z)) in closed form."""
+    """h_s(z), the s-th derivative of (1/3) asin(sqrt(z)) in closed form;
+    :class:`DomainError` where its (z (1-z))^(s/2) underflows to 0."""
     z = complex(z)
+    scale = (z * (1.0 - z)) ** (s / 2.0)
+    if scale == 0:
+        raise DomainError(f"h_{s}: (z (1-z))^({s}/2) underflows at z = {z}")
     return (
         (-1j) ** (s - 1)
         * _FACT(s - 1)
-        / (6.0 * (z * (1.0 - z)) ** (s / 2.0))
+        / (6.0 * scale)
         * legendre_polynomial(s - 1, (1.0 - 2.0 * z) / (2.0 * cmath.sqrt(z * (z - 1.0))))
     )
 
@@ -361,361 +368,334 @@ def _rhs_k02(n, z):
 
 
 # --------------------------------------------------------------------------
-# domains and samplers
+# domains: each I and K entry declares its domain once, as data, and its
+# predicate, its default-grid sampler and its text all derive from it
 # --------------------------------------------------------------------------
 
 
-def _disc(rng: Random, radius: float, min_abs: float = 0.0) -> complex:
-    while True:
-        r = radius * math.sqrt(rng.random())
-        if r >= min_abs:
-            return r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+def _num(x: float) -> str:
+    return f"{x:g}".replace("e-0", "e-")
 
 
-def _in_disc(t, radius=0.92, min_abs=0.0) -> bool:
-    return min_abs <= abs(complex(t)) <= radius
+class Disc(NamedTuple):
+    """The closed annulus inner <= |v| <= radius; its draws keep |v| at or
+    above ``keep_off`` as well."""
+
+    radius: float
+    inner: float = 0.0
+    keep_off: float = 0.0
+
+    def holds(self, v: complex) -> bool:
+        return self.inner <= abs(v) <= self.radius
+
+    def draw(self, rng: Random) -> complex:
+        low = max(self.inner, self.keep_off)
+        while True:
+            r = self.radius * math.sqrt(rng.random())
+            if r >= low:
+                return r * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+    def text(self, var: str) -> str:
+        bound = f"|{var}| <= {_num(self.radius)}"
+        return f"{_num(self.inner)} <= {bound}" if self.inner else bound
 
 
-def _int_in(n, lo, hi) -> bool:
-    return isinstance(n, int) and lo <= n <= hi
+class Segment(NamedTuple):
+    """Real v from lo to hi, each end closed ("[", "]") or open ("(", ")");
+    its draws are uniform on ``draws`` = (low, high)."""
+
+    lo: float
+    hi: float
+    draws: tuple
+    ends: str = "[]"
+
+    def holds(self, v: complex) -> bool:
+        x = v.real
+        return (v.imag == 0.0 and (self.lo <= x if self.ends[0] == "[" else self.lo < x)
+                and (x <= self.hi if self.ends[1] == "]" else x < self.hi))
+
+    def draw(self, rng: Random) -> float:
+        return rng.uniform(*self.draws)
+
+    def text(self, var: str) -> str:
+        return f"{var} real in {self.ends[0]}{_num(self.lo)}, {_num(self.hi)}{self.ends[1]}"
 
 
-def _make_nt_sampler(n_lo, n_hi, min_abs=0.0):
-    def sample(rng: Random) -> dict:
-        return {"n": rng.randrange(n_lo, n_hi + 1), "t": _disc(rng, 0.92, min_abs)}
+class Domain(NamedTuple):
+    """The domain of an I or K entry: n in the range ``n`` (no n when None),
+    and the variable ``var`` in one of ``regions`` or at one of the exact
+    ``points``, meeting each ``extra`` (predicate, text) pair too.  The
+    sampler draws n, then a region (by ``weights``, one per region, where
+    there are two or more), then a value in it until the extras hold."""
 
-    return sample
+    var: str
+    regions: tuple
+    n: range | None = None
+    weights: tuple = ()
+    points: tuple = ()
+    extra: tuple = ()
+    note: str = ""  # prose closing the text: divergent rows, branch remarks
+
+    @property
+    def params(self) -> tuple:
+        head = () if self.n is None else (ParamSpec("n", "int"),)
+        return head + (ParamSpec(self.var, "complex"),)
+
+    def contains(self, n=None, **var) -> bool:
+        ns = self.n
+        if ns is not None and not (isinstance(n, int) and n in ns):
+            return False
+        v = var[self.var]
+        for region in self.regions:
+            if region.holds(v):
+                break
+        else:
+            if v not in self.points:
+                return False
+        for holds, _ in self.extra:
+            if not holds(v):
+                return False
+        return True
+
+    def sample(self, rng: Random) -> dict:
+        point = {} if self.n is None else {"n": rng.randrange(self.n.start, self.n.stop)}
+        one = len(self.regions) == 1
+        region = self.regions[0] if one else rng.choices(self.regions, self.weights)[0]
+        while True:
+            v = region.draw(rng)
+            if all(holds(v) for holds, _ in self.extra):
+                point[self.var] = v
+                return point
+
+    @property
+    def text(self) -> str:
+        text = " or ".join([r.text(self.var) for r in self.regions]
+                           + [f"{self.var} = {_num(p)}" for p in self.points])
+        if self.extra:
+            text += " with " + " and ".join(t for _, t in self.extra)
+        if self.n is not None:
+            text = f"n in {self.n.start}..{self.n.stop - 1}, {text}"
+        return f"{text}; {self.note}" if self.note else text
 
 
-_P_T = (ParamSpec("t", "complex"),)
-_P_NT = (ParamSpec("n", "int"), ParamSpec("t", "complex"))
-_P_Z = (ParamSpec("z", "complex"),)
-_P_NZ = (ParamSpec("n", "int"), ParamSpec("z", "complex"))
+class Hypotheses(NamedTuple):
+    """The domain of an integral entry: its parameters, its hypotheses as
+    text and as a predicate, and the sampler of an entry that draws its
+    grid (None: its special points alone)."""
+
+    params: tuple
+    text: str
+    contains: Callable[..., bool]
+    sample: Callable[[Random], dict] | None = None
 
 
 _CATALOG: dict[str, IdentityDescriptor] = {}
 
 
-def _register(desc: IdentityDescriptor):
+def _register(**fields):
+    domain = fields["domain"]
+    desc = IdentityDescriptor(params=domain.params, in_domain=domain.contains, **fields)
     if desc.id in _CATALOG:
         raise ValueError(f"duplicate identity id {desc.id}")
     _CATALOG[desc.id] = desc
 
 
+_DISC_T = Disc(0.92)
+_DIVERGENT_T1 = "t = 1 divergent for n >= 1"
+_RESOLVENT_DISC = Disc(0.95, inner=1e-8, keep_off=1e-3)  # below 1e-8 the g route loses its digits
+
 _register(
-    IdentityDescriptor(
-        id="I01",
-        params=_P_T,
-        domain="|t| <= 0.92 union {t = 1}",
-        lhs=lambda t: hyp2f1(0.5, 1.0, 2.0, t),
-        rhs=_rhs_i01,
-        anchor="Gauss 2F1(1/2,1;2;t) in elementary form",
-        in_domain=lambda t: _in_disc(t) or t == 1,
-        sample=lambda rng: {"t": _disc(rng, 0.92)},
-        special_points=({"t": 0.0}, {"t": 1.0}),
-    )
+    id="I01",
+    domain=Domain("t", (_DISC_T,), points=(1.0,)),
+    lhs=lambda t: hyp2f1(0.5, 1.0, 2.0, t),
+    rhs=_rhs_i01,
+    anchor="Gauss 2F1(1/2,1;2;t) in elementary form",
+    special_points=({"t": 0.0}, {"t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I02",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
-        lhs=lambda n, t: hyp2f1(0.5 + n, 1.0 + n, 2.0 + n, t),
-        rhs=_rhs_i02,
-        anchor="first differentiation formula of the base reduction",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 0, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 2, "t": 1.0}),
-    )
+    id="I02",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,), note=_DIVERGENT_T1),
+    lhs=lambda n, t: hyp2f1(0.5 + n, 1.0 + n, 2.0 + n, t),
+    rhs=_rhs_i02,
+    anchor="first differentiation formula of the base reduction",
+    special_points=({"n": 0, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 2, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I03",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
-        lhs=lambda n, t: hyp2f1(1.0 + 2 * n, 1.5 + n, 3.0 + 2 * n, t),
-        rhs=_rhs_i03,
-        anchor="quadratic transformation of the first differentiation formula",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 1, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 1, "t": 1.0}),
-    )
+    id="I03",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,), note=_DIVERGENT_T1),
+    lhs=lambda n, t: hyp2f1(1.0 + 2 * n, 1.5 + n, 3.0 + 2 * n, t),
+    rhs=_rhs_i03,
+    anchor="quadratic transformation of the first differentiation formula",
+    special_points=({"n": 1, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 1, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I04",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
-        lhs=lambda n, t: incomplete_beta(1.0 + n, 0.5 - n, t),
-        rhs=_rhs_i04,
-        anchor="incomplete beta B(1+n, 1/2-n, t) in elementary form",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 1, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 3, "t": 1.0}),
-    )
+    id="I04",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,)),
+    lhs=lambda n, t: incomplete_beta(1.0 + n, 0.5 - n, t),
+    rhs=_rhs_i04,
+    anchor="incomplete beta B(1+n, 1/2-n, t) in elementary form",
+    special_points=({"n": 1, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 3, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I05",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}; t = 1 divergent for n >= 1",
-        lhs=lambda n, t: hyp2f1(0.5 + n, 1.0 + n, 2.0 + n, t),
-        rhs=_rhs_i05,
-        anchor="alternative elementary form with (1-t)^(1/2-n) prefactor",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 2, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 1, "t": 1.0}),
-    )
+    id="I05",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,), note=_DIVERGENT_T1),
+    lhs=lambda n, t: hyp2f1(0.5 + n, 1.0 + n, 2.0 + n, t),
+    rhs=_rhs_i05,
+    anchor="alternative elementary form with (1-t)^(1/2-n) prefactor",
+    special_points=({"n": 2, "t": 0.0}, {"n": 0, "t": 1.0}, {"n": 1, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I06",
-        params=_P_NT,
-        domain="n in 0..6, |t| <= 0.92; t = 1 excluded (both sides divergent)",
-        lhs=lambda n, t: hyp_pfq_regularized((0.5, 1.0), (1.0 - n,), t).value,
-        rhs=_rhs_i06,
-        anchor="regularized 2F1(1/2,1;1-n;t) reduction",
-        in_domain=lambda n, t: _int_in(n, 0, 6) and _in_disc(t) and t != 1,
-        sample=_make_nt_sampler(0, 6),
-        special_points=({"n": 2, "t": 0.5}, {"n": 0, "t": 0.0}),
-    )
+    id="I06",
+    domain=Domain("t", (_DISC_T,), range(7), note="t = 1 excluded (both sides divergent)"),
+    lhs=lambda n, t: hyp_pfq_regularized((0.5, 1.0), (1.0 - n,), t).value,
+    rhs=_rhs_i06,
+    anchor="regularized 2F1(1/2,1;1-n;t) reduction",
+    special_points=({"n": 2, "t": 0.5}, {"n": 0, "t": 0.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I07",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
-        lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
-        rhs=_rhs_i07,
-        anchor="third differentiation formula; t = 1 row is the Gauss value 2(n+1)/(2n+1)",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 0, "t": 0.0}, {"n": 1, "t": 1.0}, {"n": 4, "t": 1.0}),
-    )
+    id="I07",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,)),
+    lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
+    rhs=_rhs_i07,
+    anchor="third differentiation formula; t = 1 row is the Gauss value 2(n+1)/(2n+1)",
+    special_points=({"n": 0, "t": 0.0}, {"n": 1, "t": 1.0}, {"n": 4, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I08",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
-        lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
-        rhs=_rhs_i08,
-        anchor="variant via the Vidunas transformation",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 0, "t": 0.0}, {"n": 2, "t": 1.0}),
-    )
+    id="I08",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,)),
+    lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
+    rhs=_rhs_i08,
+    anchor="variant via the Vidunas transformation",
+    special_points=({"n": 0, "t": 0.0}, {"n": 2, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I09",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 union {t = 0, t = 1}",
-        lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
-        rhs=_rhs_i09,
-        anchor="variant via the 2F1(1,b;m;z) partial-fraction formula",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and (_in_disc(t) or t == 1),
-        sample=_make_nt_sampler(0, 5),
-        special_points=({"n": 0, "t": 0.0}, {"n": 3, "t": 1.0}),
-        notes="bracket sign corrected: the truncated binomial sum is subtracted",
-    )
+    id="I09",
+    domain=Domain("t", (_DISC_T,), range(6), points=(1.0,)),
+    lhs=lambda n, t: hyp2f1(0.5, 1.0, 2.0 + n, t),
+    rhs=_rhs_i09,
+    anchor="variant via the 2F1(1,b;m;z) partial-fraction formula",
+    special_points=({"n": 0, "t": 0.0}, {"n": 3, "t": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I10",
-        params=_P_NT,
-        domain="n in 1..4, t real in [-6, 0]; branch-valid only on the negative real axis",
-        lhs=_lhs_i10,
-        rhs=_rhs_i10,
-        anchor="Legendre P_{-n}^{-n}(1/sqrt(1-t)) in elementary form",
-        in_domain=lambda n, t: _int_in(n, 1, 4)
-        and complex(t).imag == 0.0
-        and -6.0 <= complex(t).real <= 0.0,
-        sample=lambda rng: {"n": rng.randrange(1, 5), "t": rng.uniform(-6.0, -0.01)},
-        special_points=({"n": 1, "t": 0.0}, {"n": 3, "t": 0.0}),
-        notes="for t off the negative real axis the printed power combination "
-        "picks up a unit phase and the identity fails; domain restricted accordingly",
-    )
+    id="I10",
+    domain=Domain("t", (Segment(-6.0, 0.0, draws=(-6.0, -0.01)),), range(1, 5),
+                  note="off the negative real axis the printed power combination "
+                  "picks up a unit phase and the identity fails"),
+    lhs=_lhs_i10,
+    rhs=_rhs_i10,
+    anchor="Legendre P_{-n}^{-n}(1/sqrt(1-t)) in elementary form",
+    special_points=({"n": 1, "t": 0.0}, {"n": 3, "t": 0.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I11",
-        params=_P_NT,
-        domain="n in 1..6, |t| <= 3 (series terminates, any finite t works)",
-        lhs=lambda n, t: hyp_pfq_regularized((0.5 - n, 1.0 - n), (2.0 - n,), t).value,
-        rhs=_rhs_i11,
-        anchor="regularized 2F1(1/2-n,1-n;2-n;t) = 2 (1/2)_n t^(n-1)",
-        in_domain=lambda n, t: _int_in(n, 1, 6) and abs(complex(t)) <= 3.0,
-        sample=lambda rng: {"n": rng.randrange(1, 7), "t": _disc(rng, 3.0)},
-        special_points=({"n": 1, "t": 0.7}, {"n": 2, "t": 0.3}),
-        notes="the n = 1 row is the t-independent value 1, consistent with the "
-        "general row 2 (1/2)_n t^(n-1)",
-    )
+    id="I11",
+    domain=Domain("t", (Disc(3.0),), range(1, 7),
+                  note="the series terminates, so any finite t works"),
+    lhs=lambda n, t: hyp_pfq_regularized((0.5 - n, 1.0 - n), (2.0 - n,), t).value,
+    rhs=_rhs_i11,
+    anchor="regularized 2F1(1/2-n,1-n;2-n;t) = 2 (1/2)_n t^(n-1)",
+    special_points=({"n": 1, "t": 0.7}, {"n": 2, "t": 0.3}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I12",
-        params=_P_NT,
-        domain="n in 1..4, t real with |t| <= 0.99 (Ferrers region)",
-        lhs=lambda n, t: legendre_p(n, n - 1, t),
-        rhs=_rhs_i12,
-        anchor="P_n^(n-1)(t) = -(-2)^n (1/2)_n t (1-t^2)^((n-1)/2)",
-        in_domain=lambda n, t: _int_in(n, 1, 4)
-        and complex(t).imag == 0.0
-        and abs(complex(t).real) <= 0.99,
-        sample=lambda rng: {"n": rng.randrange(1, 5), "t": rng.uniform(-0.99, 0.99)},
-        special_points=({"n": 1, "t": 0.3}, {"n": 4, "t": -0.5}),
-    )
+    id="I12",
+    domain=Domain("t", (Segment(-0.99, 0.99, draws=(-0.99, 0.99)),), range(1, 5),
+                  note="the Ferrers region"),
+    lhs=lambda n, t: legendre_p(n, n - 1, t),
+    rhs=_rhs_i12,
+    anchor="P_n^(n-1)(t) = -(-2)^n (1/2)_n t (1-t^2)^((n-1)/2)",
+    special_points=({"n": 1, "t": 0.3}, {"n": 4, "t": -0.5}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I13",
-        params=_P_Z,
-        domain="|z| <= 0.95 union {z = 1}",
-        lhs=lambda z: hyp2f1(1.0 / 3.0, 2.0 / 3.0, 1.5, z),
-        rhs=i13_rhs,
-        anchor="2F1(1/3,2/3;3/2;z) = (3/sqrt z) sin((1/3) asin sqrt z)",
-        in_domain=lambda z: _in_disc(z, 0.95) or z == 1,
-        sample=lambda rng: {"z": _disc(rng, 0.95)},
-        special_points=({"z": 0.0}, {"z": 1.0}),
-    )
+    id="I13",
+    domain=Domain("z", (Disc(0.95),), points=(1.0,)),
+    lhs=lambda z: hyp2f1(1.0 / 3.0, 2.0 / 3.0, 1.5, z),
+    rhs=i13_rhs,
+    anchor="2F1(1/3,2/3;3/2;z) = (3/sqrt z) sin((1/3) asin sqrt z)",
+    special_points=({"z": 0.0}, {"z": 1.0}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="I14",
-        params=_P_NZ,
-        domain="n in 1..3, z real in (0, 0.97]; Bell form is branch-valid on (0,1) only",
-        lhs=lambda n, z: hyp_pfq_regularized((1.0 / 3.0, 2.0 / 3.0), (1.5 - n,), z).value,
-        rhs=_rhs_i14,
-        anchor="regularized 2F1(1/3,2/3;3/2-n;z) via Bell polynomials of h_s",
-        in_domain=lambda n, z: _int_in(n, 1, 3)
-        and complex(z).imag == 0.0
-        and 0.005 <= complex(z).real <= 0.97,
-        sample=lambda rng: {"n": rng.randrange(1, 4), "z": rng.uniform(0.005, 0.97)},
-        special_points=({"n": 1, "z": 0.25}, {"n": 2, "z": 0.5}, {"n": 3, "z": 0.1}),
-        tolerance=1e-6,
-    )
+    id="I14",
+    domain=Domain("z", (Segment(0.0, 0.97, draws=(0.005, 0.97), ends="(]"),), range(1, 4),
+                  note="the Bell form is branch-valid on (0, 1) only"),
+    lhs=lambda n, z: hyp_pfq_regularized((1.0 / 3.0, 2.0 / 3.0), (1.5 - n,), z).value,
+    rhs=_rhs_i14,
+    anchor="regularized 2F1(1/3,2/3;3/2-n;z) via Bell polynomials of h_s",
+    special_points=({"n": 1, "z": 0.25}, {"n": 2, "z": 0.5}, {"n": 3, "z": 0.1}),
+    tolerance=1e-6,
 )
 
 _register(
-    IdentityDescriptor(
-        id="I15",
-        params=_P_Z,
-        domain="0 < |z| <= 0.95 union {z = 1}",
-        lhs=lambda z: hyp3f2(0.25, 0.5, 0.75, 2.0 / 3.0, 4.0 / 3.0, z),
-        rhs=i15_rhs,
-        anchor="3F2(1/4,1/2,3/4;2/3,4/3;z) through the resolvent function g",
-        in_domain=lambda z: (_in_disc(z, 0.95) and abs(complex(z)) > 1e-8) or z == 1,
-        sample=lambda rng: {"z": _disc(rng, 0.95, min_abs=1e-3)},
-        special_points=({"z": 1.0}, {"z": 0.5}, {"z": -0.5}),
-        tolerance=1e-6,
-    )
+    id="I15",
+    domain=Domain("z", (_RESOLVENT_DISC,), points=(1.0,)),
+    lhs=lambda z: hyp3f2(0.25, 0.5, 0.75, 2.0 / 3.0, 4.0 / 3.0, z),
+    rhs=i15_rhs,
+    anchor="3F2(1/4,1/2,3/4;2/3,4/3;z) through the resolvent function g",
+    special_points=({"z": 1.0}, {"z": 0.5}, {"z": -0.5}),
+    tolerance=1e-6,
 )
 
 _register(
-    IdentityDescriptor(
-        id="I16",
-        params=_P_Z,
-        domain="|z| <= 0.95 with |4z/(1-z)^2| <= 0.95, z != 0",
-        lhs=lambda z: hyp3f2(0.5, 5.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0, 4.0 / 3.0, z),
-        rhs=_rhs_i16,
-        anchor="Kato quadratic transformation of the resolvent reduction",
-        in_domain=lambda z: _in_disc(z, 0.95)
-        and abs(complex(z)) > 1e-8
-        and abs(4.0 * complex(z) / (1.0 - complex(z)) ** 2) <= 0.95,
-        sample=lambda rng: _sample_i16(rng),
-        special_points=({"z": 0.1}, {"z": -0.5}, {"z": 0.15}),
-        tolerance=1e-6,
-    )
-)
-
-
-def _sample_i16(rng: Random) -> dict:
-    while True:
-        z = _disc(rng, 0.95, min_abs=1e-3)
-        if abs(4.0 * z / (1.0 - z) ** 2) <= 0.95:
-            return {"z": z}
-
-
-_register(
-    IdentityDescriptor(
-        id="I17",
-        params=_P_Z,
-        domain="0 < |z| <= 0.95, or z real in [-6, 0), or z = 1",
-        lhs=_lhs_i17,
-        rhs=_rhs_i17,
-        anchor="product of Legendre functions P_(-1/6)^(1/3) P_(-1/6)^(-1/3)",
-        in_domain=lambda z: (
-            (_in_disc(z, 0.95) and abs(complex(z)) > 1e-8)
-            or (complex(z).imag == 0.0 and -6.0 <= complex(z).real < 0.0)
-            or z == 1
-        ),
-        sample=lambda rng: (
-            {"z": _disc(rng, 0.95, min_abs=1e-3)}
-            if rng.random() < 0.7
-            else {"z": rng.uniform(-6.0, -0.05)}
-        ),
-        special_points=({"z": 1.0}, {"z": 0.5}),
-        tolerance=1e-6,
-    )
+    id="I16",
+    domain=Domain("z", (_RESOLVENT_DISC,), extra=(
+        (lambda z: abs(4.0 * z / (1.0 - z) ** 2) <= 0.95, "|4z/(1-z)^2| <= 0.95"),)),
+    lhs=lambda z: hyp3f2(0.5, 5.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0, 4.0 / 3.0, z),
+    rhs=_rhs_i16,
+    anchor="Kato quadratic transformation of the resolvent reduction",
+    special_points=({"z": 0.1}, {"z": -0.5}, {"z": 0.15}),
+    tolerance=1e-6,
 )
 
 _register(
-    IdentityDescriptor(
-        id="I18",
-        params=_P_NT,
-        domain="n in 0..5, |t| <= 0.92 (shared domain of the equivalent forms)",
-        lhs=lambda n, t: _i18_sides(n, t)[0],
-        rhs=lambda n, t: _i18_sides(n, t)[1],
-        anchor="equivalence of the alternative elementary representations "
-        "(I02 = I05, I07 = I08 = I09)",
-        in_domain=lambda n, t: _int_in(n, 0, 5) and _in_disc(t),
-        sample=_make_nt_sampler(0, 5, min_abs=0.01),
-        special_points=({"n": 1, "t": 0.5}, {"n": 3, "t": -0.4}),
-        notes="reports the worst-disagreeing pair among the three equivalences",
-    )
+    id="I17",
+    domain=Domain("z", (_RESOLVENT_DISC, Segment(-6.0, 0.0, draws=(-6.0, -0.05), ends="[)")),
+                  weights=(0.7, 0.3), points=(1.0,)),
+    lhs=_lhs_i17,
+    rhs=_rhs_i17,
+    anchor="product of Legendre functions P_(-1/6)^(1/3) P_(-1/6)^(-1/3)",
+    special_points=({"z": 1.0}, {"z": 0.5}),
+    tolerance=1e-6,
 )
 
 _register(
-    IdentityDescriptor(
-        id="K01",
-        params=_P_NZ,
-        domain="n in 1..5, |z| <= 8",
-        lhs=lambda n, z: hyp1f1(n, 1 + n, z),
-        rhs=_rhs_k01,
-        anchor="Kummer 1F1(n;1+n;z) = n (-z)^(-n) gamma(n, -z)",
-        in_domain=lambda n, z: _int_in(n, 1, 5) and abs(complex(z)) <= 8.0,
-        sample=lambda rng: {"n": rng.randrange(1, 6), "z": _disc(rng, 8.0)},
-        special_points=({"n": 1, "z": 0.0}, {"n": 3, "z": -2.0}),
-    )
+    id="I18",
+    domain=Domain("t", (Disc(0.92, keep_off=0.01),), range(6),
+                  note="the shared domain of the equivalent forms"),
+    lhs=lambda n, t: _i18_sides(n, t)[0],
+    rhs=lambda n, t: _i18_sides(n, t)[1],
+    anchor="equivalence of the alternative elementary representations "
+    "(I02 = I05, I07 = I08 = I09)",
+    special_points=({"n": 1, "t": 0.5}, {"n": 3, "t": -0.4}),
 )
 
 _register(
-    IdentityDescriptor(
-        id="K02",
-        params=_P_NZ,
-        domain="n in 1..5, 1 <= |z| <= 8",
-        lhs=lambda n, z: hyp1f1(1, 1 + n, z),
-        rhs=_rhs_k02,
-        anchor="Kummer 1F1(1;1+n;z) = n e^z gamma(n, z) / z^n "
-        "= n! (e^z - e_{n-1}(z)) / z^n",
-        in_domain=lambda n, z: _int_in(n, 1, 5) and _in_disc(z, 8.0, 1.0),
-        sample=lambda rng: {"n": rng.randrange(1, 6), "z": _disc(rng, 8.0, min_abs=1.0)},
-        special_points=({"n": 5, "z": 1.0}, {"n": 2, "z": 1.5}),
-    )
+    id="K01",
+    domain=Domain("z", (Disc(8.0),), range(1, 6)),
+    lhs=lambda n, z: hyp1f1(n, 1 + n, z),
+    rhs=_rhs_k01,
+    anchor="Kummer 1F1(n;1+n;z) = n (-z)^(-n) gamma(n, -z)",
+    special_points=({"n": 1, "z": 0.0}, {"n": 3, "z": -2.0}),
+)
+
+_register(
+    id="K02",
+    domain=Domain("z", (Disc(8.0, inner=1.0),), range(1, 6)),
+    lhs=lambda n, z: hyp1f1(1, 1 + n, z),
+    rhs=_rhs_k02,
+    anchor="Kummer 1F1(1;1+n;z) = n e^z gamma(n, z) / z^n "
+    "= n! (e^z - e_{n-1}(z)) / z^n",
+    special_points=({"n": 5, "z": 1.0}, {"n": 2, "z": 1.5}),
 )
 
 
@@ -724,78 +704,81 @@ _register(
 # --------------------------------------------------------------------------
 
 _register(
-    IdentityDescriptor(
-        id="J0",
-        params=(ParamSpec("a", "complex_tuple"), ParamSpec("b", "complex_tuple"),
-                ParamSpec("alpha", "complex"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
-        domain="p = len(a) <= q = len(b), Re s > 0, Re alpha > 0, |x/s| < 1, "
+    id="J0",
+    domain=Hypotheses(
+        (ParamSpec("a", "complex_tuple"), ParamSpec("b", "complex_tuple"),
+         ParamSpec("alpha", "complex"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
+        "p = len(a) <= q = len(b), Re s > 0, Re alpha > 0, |x/s| < 1, "
         "and Re(s - x) > 0 when p = q",
-        lhs=quad.laplace_integral,
-        rhs=quad.laplace_closed_form,
-        anchor="Laplace lemma: int_0^inf e^(-st) t^(alpha-1) pFq(a; b; xt) dt "
-        "= Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)",
-        in_domain=lambda a, b, alpha, s, x: len(a) <= len(b)
+        lambda a, b, alpha, s, x: len(a) <= len(b)
         and s.real > 0
         and alpha.real > 0
         and abs(x) < abs(s)
         and (len(a) < len(b) or (s - x).real > 0),
-        sample=quad.laplace_random_draw,
-        tolerance=1e-7,
-        grid_size=10,
-        quadrature=True,
-    )
+        quad.laplace_random_draw,
+    ),
+    lhs=quad.laplace_integral,
+    rhs=quad.laplace_closed_form,
+    anchor="Laplace lemma: int_0^inf e^(-st) t^(alpha-1) pFq(a; b; xt) dt "
+    "= Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)",
+    tolerance=1e-7,
+    grid_size=10,
+    quadrature=True,
 )
 
 _register(
-    IdentityDescriptor(
-        id="J1",
-        params=(ParamSpec("n", "int"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
-        domain="n >= 0, Re s > 0, Re(s + x) > 0",
-        lhs=quad.j1_integral,
-        rhs=quad.j1_closed_form,
-        anchor="int_0^inf e^(-st) t^(-3/2) gamma(n+1, xt) dt in closed form",
-        in_domain=lambda n, s, x: n >= 0 and s.real > 0 and (s + x).real > 0,
-        special_points=tuple({"n": n, "s": s, "x": x} for n in (0, 1, 2)
-                             for s, x in ((2.0, 1.0), (1.0, 0.5), (3.0, 2.0))),
-        tolerance=1e-6,
-        grid_size=9,
-        quadrature=True,
-    )
+    id="J1",
+    domain=Hypotheses(
+        (ParamSpec("n", "int"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
+        "n >= 0, Re s > 0, Re(s + x) > 0",
+        lambda n, s, x: n >= 0 and s.real > 0 and (s + x).real > 0,
+    ),
+    lhs=quad.j1_integral,
+    rhs=quad.j1_closed_form,
+    anchor="int_0^inf e^(-st) t^(-3/2) gamma(n+1, xt) dt in closed form",
+    special_points=tuple({"n": n, "s": s, "x": x} for n in (0, 1, 2)
+                         for s, x in ((2.0, 1.0), (1.0, 0.5), (3.0, 2.0))),
+    tolerance=1e-6,
+    grid_size=9,
+    quadrature=True,
 )
 
 _register(
-    IdentityDescriptor(
-        id="J2",
-        params=(ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
-        domain="n >= 1; Re p > 0 and Re(p + x) > 0, or p = 0 (algebraic tail) with Re x > 0",
-        lhs=quad.j2_integral,
-        rhs=quad.j2_closed_form,
-        anchor="int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt in piecewise closed form",
-        in_domain=lambda n, p, x: n >= 1
+    id="J2",
+    domain=Hypotheses(
+        (ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
+        "n >= 1; Re p > 0 and Re(p + x) > 0, or p = 0 (algebraic tail) with Re x > 0",
+        lambda n, p, x: n >= 1
         and (x.real > 0 if p == 0 else p.real > 0 and (p + x).real > 0),
-        special_points=tuple({"n": n, "p": p, "x": x} for n in (1, 2)
-                             for p, x in ((1.0, 1.0), (2.0, 0.5), (0.0, 1.0))),
-        tolerance=1e-6,
-        grid_size=6,
-        quadrature=True,
-    )
+    ),
+    lhs=quad.j2_integral,
+    rhs=quad.j2_closed_form,
+    anchor="int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt in piecewise closed form",
+    special_points=tuple({"n": n, "p": p, "x": x} for n in (1, 2)
+                         for p, x in ((1.0, 1.0), (2.0, 0.5), (0.0, 1.0))),
+    tolerance=1e-6,
+    grid_size=6,
+    quadrature=True,
 )
 
 _register(
-    IdentityDescriptor(
-        id="J3",
-        params=(ParamSpec("p", "complex"), ParamSpec("x", "complex")),
-        domain="real x > 0 (the cylinder function's supported range), Re(2p - x) > 0",
-        lhs=quad.j3_integral,
-        rhs=quad.j3_closed_form,
-        anchor="int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt in closed form",
-        in_domain=lambda p, x: x.imag == 0.0 and x.real > 0.0 and (2.0 * p - x).real > 0,
-        special_points=tuple({"p": p, "x": x}
-                             for p, x in ((1.0, 1.0), (2.0, 0.5), (1.5, 1.0), (3.0, 0.8))),
-        tolerance=1e-5,
-        grid_size=4,
-        quadrature=True,
-    )
+    id="J3",
+    # x <= 5 Re p / 3 is x * 50/decay <= 500, decay = Re(2p - x)/2: over the
+    # quadrature's first window the cylinder function's argument stays
+    # within -sqrt(1000), where its accuracy is measured
+    domain=Hypotheses(
+        (ParamSpec("p", "complex"), ParamSpec("x", "complex")),
+        "real x with 0 < x <= 5 Re p / 3 (so Re(2p - x) > 0)",
+        lambda p, x: x.imag == 0.0 and 0.0 < x.real and 3.0 * x.real <= 5.0 * p.real,
+    ),
+    lhs=quad.j3_integral,
+    rhs=quad.j3_closed_form,
+    anchor="int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt in closed form",
+    special_points=tuple({"p": p, "x": x}
+                         for p, x in ((1.0, 1.0), (2.0, 0.5), (1.5, 1.0), (3.0, 0.8))),
+    tolerance=1e-5,
+    grid_size=4,
+    quadrature=True,
 )
 
 
@@ -923,7 +906,7 @@ def check_point(identity_id: str, params: Mapping, tol: float) -> CheckRecord:
     ``skipped_domain`` record."""
     rec = eval_identity(identity_id, params, tol)
     if rec.verdict == "skipped_domain":
-        domain = get_identity(identity_id).domain
+        domain = get_identity(identity_id).domain.text
         raise DomainError(f"{identity_id}: point outside the supported domain ({domain})")
     return rec
 
@@ -938,8 +921,9 @@ def default_grid(identity_id: str, count: int | None = None, seed: int = DEFAULT
         count = desc.grid_size
     rng = Random(f"{seed}:{identity_id}")
     points = [dict(p) for p in desc.special_points[:count]]
-    if len(points) < count and desc.sample is None:
+    sample = desc.domain.sample
+    if len(points) < count and sample is None:
         raise DomainError(f"{identity_id} has {len(points)} fixed points")
     while len(points) < count:
-        points.append(desc.sample(rng))
+        points.append(sample(rng))
     return points

@@ -70,37 +70,58 @@ class DescartesFactors(NamedTuple):
 
 
 def residual(inst: TrinomialInstance, x) -> float:
-    """|x^n - x + t| for one candidate root."""
+    """|x^n - x + t| for one candidate root; :class:`DomainError` where it
+    leaves the double range."""
     x = complex(x)
-    return abs(x**inst.n - x + inst.t)
+    try:
+        value = abs(x**inst.n - x + inst.t)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"the residual of x^{inst.n} - x + t at x = {x} is not finite")
+    return value
 
 
 def series_argument(n: int, t) -> complex:
-    """Argument z = n (n t/(n-1))^(n-1) of the hypergeometric root series."""
+    """Argument z = n (n t/(n-1))^(n-1) of the hypergeometric root series;
+    :class:`DomainError` where it leaves the double range, and for n < 2."""
+    if n < 2:
+        raise DomainError("trinomial degree must satisfy n >= 2")
     t = complex(t)
-    return n * (n * t / (n - 1)) ** (n - 1)
+    try:
+        z = n * (n * t / (n - 1)) ** (n - 1)
+    except OverflowError:
+        z = math.inf
+    if not cmath.isfinite(z):
+        raise DomainError(f"series argument at t = {t} leaves the double range")
+    return z
 
 
 def _series_parameters(n: int):
     upper = [j / n for j in range(1, n + 1)]
     lower = [j / (n - 1) for j in range(2, n + 1)]
-    for v in list(lower):
-        if v in upper:
-            upper.remove(v)
-            lower.remove(v)
+    if n > 2:  # n and n-1 are coprime, so j/n = k/(n-1) at j = n, k = n-1 alone
+        upper.remove(1.0)
+        lower.remove(1.0)
     return upper, lower
 
 
 # the series converges slowly near the edge |z| = 0.999 of its disc
 _ROOT_SERIES_CONTROL = SeriesControl(max_terms=40_000)
+# the parameters and each term cost about 2n operations: the degree is held
+# to 10^4, so that a sum takes well under 1 s
+_ROOT_SERIES_MAX_DEGREE = 10**4
 
 
 def root_hypergeometric(inst: TrinomialInstance) -> complex:
     """The t -> 0 branch of x^n - x + t = 0 by the hypergeometric series.
 
     Only defined inside the convergence disc |z| <= 0.999 of the series
-    argument; raises :class:`DomainError` outside.
+    argument; raises :class:`DomainError` outside, and for a degree above
+    10^4.
     """
+    if inst.n > _ROOT_SERIES_MAX_DEGREE:
+        raise DomainError(f"degree n = {inst.n} is above the series route's 10^4")
     z = series_argument(inst.n, inst.t)
     if abs(z) > 0.999:
         raise DomainError(
@@ -110,9 +131,16 @@ def root_hypergeometric(inst: TrinomialInstance) -> complex:
     return inst.t * hyp_pfq(upper, lower, z, _ROOT_SERIES_CONTROL).value
 
 
+# n k at most this: a partial sum's factorials take well under 0.1 s
+_LAGRANGE_MAX_NK = 10**4
+
+
 def lagrange_coefficient(n: int, k: int) -> int:
     """Exact integer coefficient (nk)! / (k! (nk-k+1)!) of the Lagrange
-    root series (the Fuss-Catalan numbers; Catalan numbers for n = 2)."""
+    root series (the Fuss-Catalan numbers; Catalan numbers for n = 2);
+    :class:`DomainError` for n < 2, k < 0 and n k above 10^4."""
+    if n < 2 or k < 0 or n * k > _LAGRANGE_MAX_NK:
+        raise DomainError(f"lagrange_coefficient needs n >= 2 and 0 <= n k <= 10^4, got {n}, {k}")
     if k == 0:
         return 1
     num = math.factorial(n * k)
@@ -123,20 +151,30 @@ def lagrange_coefficient(n: int, k: int) -> int:
 
 
 def root_lagrange_partial(inst: TrinomialInstance, terms: int) -> complex:
-    """Partial sum t [1 + sum_{k=1}^{terms} (nk)!/(k!(nk-k+1)!) t^((n-1)k)]."""
+    """Partial sum t [1 + sum_{k=1}^{terms} (nk)!/(k!(nk-k+1)!) t^((n-1)k)];
+    :class:`DomainError` for n terms above 10^4 and where a term leaves
+    the double range."""
     if terms < 1:
         raise DomainError("need at least one correction term")
+    if inst.n * terms > _LAGRANGE_MAX_NK:
+        raise DomainError(f"n terms = {inst.n * terms} is above 10^4")
     t = complex(inst.t)
     if t == 0:
         return 0.0 + 0.0j
     n = inst.n
     acc = 1.0 + 0.0j
-    tp = t ** (n - 1)
     power = 1.0 + 0.0j
-    for k in range(1, terms + 1):
-        power *= tp
-        acc += lagrange_coefficient(n, k) * power
-    return t * acc
+    try:
+        tp = t ** (n - 1)
+        for k in range(1, terms + 1):
+            power *= tp
+            acc += lagrange_coefficient(n, k) * power
+    except OverflowError:  # t^(n-1) or a coefficient beyond the double range
+        raise DomainError(f"the Lagrange series at t = {t} leaves the double range") from None
+    value = t * acc
+    if not cmath.isfinite(value):
+        raise DomainError(f"the Lagrange series at t = {t} leaves the double range")
+    return value
 
 
 def quadratic_roots(t) -> RootSet:
@@ -145,6 +183,8 @@ def quadratic_roots(t) -> RootSet:
     t = complex(t)
     s = cmath.sqrt(1.0 - 4.0 * t)
     roots = ((1.0 - s) / 2.0, (1.0 + s) / 2.0)
+    if not all(map(cmath.isfinite, roots)):
+        raise DomainError(f"closed-form roots of x^2 - x + t at t = {t} are not finite")
     inst = TrinomialInstance(2, t)
     return RootSet(roots, tuple(residual(inst, x) for x in roots))
 
@@ -176,6 +216,8 @@ def descartes_factorization(p, q, r) -> DescartesFactors:
     The resolvent in xi = alpha^2 is
     xi^3 + 2 p xi^2 + (p^2 - 4 r) xi - q^2 = 0; the root of largest
     modulus is taken so that q/alpha stays well conditioned.
+    :class:`DomainError` where the resolvent or a factor leaves the double
+    range.
     """
     p, q, r = complex(p), complex(q), complex(r)
     if q == 0:
@@ -184,13 +226,16 @@ def descartes_factorization(p, q, r) -> DescartesFactors:
     # depress xi = y - b2/3, then y^3 - 3 m y + 2 nn = 0
     shift = b2 / 3.0
     m = (b2 * b2 / 3.0 - b1) / 3.0
-    nn = (b0 + 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0) / 2.0
-    if abs(m) < 1e-40:
-        cube = (-2.0 * nn) ** (1.0 / 3.0)
-        rot = cmath.exp(2j * math.pi / 3.0)
-        ys = (cube, cube * rot, cube * rot.conjugate())
-    else:
-        ys = _depressed_cubic_roots(m, nn)
+    try:
+        nn = (b0 + 2.0 * b2**3 / 27.0 - b2 * b1 / 3.0) / 2.0
+        if abs(m) < 1e-40:
+            cube = (-2.0 * nn) ** (1.0 / 3.0)
+            rot = cmath.exp(2j * math.pi / 3.0)
+            ys = (cube, cube * rot, cube * rot.conjugate())
+        else:
+            ys = _depressed_cubic_roots(m, nn)
+    except OverflowError:
+        raise DomainError(f"the resolvent of x^4 + {p} x^2 + {q} x + {r} is not finite") from None
     for xi in sorted((y - shift for y in ys), key=abs, reverse=True):
         if xi == 0:
             continue
@@ -198,7 +243,11 @@ def descartes_factorization(p, q, r) -> DescartesFactors:
         for alpha in (root, -root):
             gamma = (p + xi + q / alpha) / 2.0
             if gamma != 0:
-                return DescartesFactors(alpha, r / gamma, gamma, xi)
+                factors = DescartesFactors(alpha, r / gamma, gamma, xi)
+                if not all(map(cmath.isfinite, factors)):
+                    raise DomainError(f"the resolvent of x^4 + {p} x^2 + {q} x + {r} "
+                                      "is not finite")
+                return factors
     raise DomainError("degenerate quartic: gamma = 0 in every factorization")
 
 
@@ -216,6 +265,8 @@ def quartic_roots(p, q, r) -> RootSet:
             (f.alpha - s2) / 2.0,
         )
     )
+    if not all(map(cmath.isfinite, roots)):
+        raise DomainError(f"the roots of x^4 + {p} x^2 + {q} x + {r} are not finite")
     res = tuple(abs(x**4 + p * x * x + q * x + r) for x in roots)
     return RootSet(roots, res)
 
@@ -242,16 +293,14 @@ def trinomial_closed_roots(n: int, t) -> RootSet:
     t = complex(t)
     inst = TrinomialInstance(n, t)
     if n == 2:
-        rs = quadratic_roots(t)
+        roots = quadratic_roots(t).roots
     elif n == 3:
         # x^3 - 3 (1/3) x + 2 (t/2) = 0
         roots = _sorted_roots(_depressed_cubic_roots(1.0 / 3.0, t / 2.0))
-        rs = RootSet(roots, tuple(residual(inst, x) for x in roots))
     elif n == 4:
         roots = quartic_roots(0.0, -1.0, t).roots
-        rs = RootSet(roots, tuple(residual(inst, x) for x in roots))
     else:
         raise DomainError(f"no closed form implemented for n = {n}")
-    if not (all(map(cmath.isfinite, rs.roots)) and all(map(math.isfinite, rs.residuals))):
+    if not all(map(cmath.isfinite, roots)):
         raise DomainError(f"closed-form roots of x^{n} - x + t at t = {t} are not finite")
-    return rs
+    return RootSet(roots, tuple(residual(inst, x) for x in roots))

@@ -153,9 +153,9 @@ def gamma(z) -> complex:
     in logs and its exponential returned.  :class:`DomainError` is raised
     at a pole, for a non-finite ``z``, where the value is below the
     normal double range ("gamma underflows": Re z below about -171.6
-    away from the poles, or |Im z| above about 450 near Re z = 0), and
-    where it overflows (real z above about 171.6, and within about
-    5.6e-309 of 0).
+    away from the poles, or |Im z| above about 450 near Re z = 0; on
+    Re z >= 1/2, where the Lanczos value rounds to 0), and where it
+    overflows (real z above about 171.6, and within about 5.6e-309 of 0).
     """
     z = complex(z)
     if not cmath.isfinite(z):
@@ -167,7 +167,9 @@ def gamma(z) -> complex:
             try:
                 # gamma(z) * gamma(1-z) = pi / sin(pi z)
                 value = math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-            except (OverflowError, DomainError):  # sin(pi z) or gamma(1 - z) overflows
+            # sin(pi z) or gamma(1 - z) leaves the double range (a ValueError
+            # where sin's value has no phase)
+            except (OverflowError, ValueError):
                 value = 0.0
             if cmath.isfinite(value) and abs(value) >= sys.float_info.min:
                 return value
@@ -178,13 +180,22 @@ def gamma(z) -> complex:
         power, t, acc = _lanczos(z)
         try:
             value = SQRT_TWO_PI * t ** power * cmath.exp(-t) * acc
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # complex ** out of range raises either
             value = math.inf
         if not cmath.isfinite(value):
             # t^(x+1/2) leaves the double range before e^(-t) scales it back
-            value = SQRT_TWO_PI * cmath.exp(power * cmath.log(t) - t) * acc
-            if not cmath.isfinite(value):
-                raise OverflowError
+            log_value = power * cmath.log(t) - t
+            if not log_value.real >= _LOG_TINY:  # nan where |z| nears the top of the range
+                value = 0.0
+            else:
+                try:
+                    value = SQRT_TWO_PI * cmath.exp(log_value) * acc
+                except ValueError:  # an infinite phase, from |z| near the top of the range
+                    raise OverflowError from None
+                if not cmath.isfinite(value):
+                    raise OverflowError
+        if value == 0:
+            raise _GammaUnderflow(f"gamma underflows at z = {z}")
         return value
     except OverflowError:
         raise DomainError(f"gamma overflows at z = {z}") from None
@@ -203,12 +214,12 @@ def rgamma(z) -> complex:
         return 0.0 + 0.0j
     try:
         return 1.0 / gamma(z)
-    except _GammaUnderflow:  # Re z < 1/2, where 1/gamma(z) is formed in logs too
-        try:
-            return _exp_on_axis(-_log_reflection(z), z)
-        except OverflowError:
-            raise DomainError(f"1/gamma overflows at z = {z}") from None
-    except ZeroDivisionError:  # gamma underflows to 0 far off the real axis
+    except _GammaUnderflow:  # on Re z < 1/2, 1/gamma(z) is formed in logs too
+        if z.real < 0.5:
+            try:
+                return _exp_on_axis(-_log_reflection(z), z)
+            except OverflowError:
+                pass
         raise DomainError(f"1/gamma overflows at z = {z}") from None
     except DomainError:
         if cmath.isfinite(z) and z.real >= 0.5:
@@ -355,7 +366,8 @@ class _Series:
 
 
 # Every _Series made, by its (upper, lower) as given, and the size they hold
-# counted in ratios, an entry's own memory as _ENTRY_SIZE of them.  Each
+# counted in ratios, an entry's own memory as _ENTRY_SIZE of them and two
+# per parameter (the root series of degree n has about 2n parameters).  Each
 # ratio is computed from the parameters and its index alone, so no result
 # depends on what is held.
 _SERIES_LIMIT = 1 << 17  # above the CLI's 100 000-term budget; ~5 MB when full
@@ -377,7 +389,7 @@ def _series(upper, lower) -> _Series:
     entry = _series_cache.get(key)
     if entry is None:
         entry = _series_cache[key] = _Series(*key)
-        _hold(_ENTRY_SIZE)
+        _hold(_ENTRY_SIZE + 2 * (len(entry.upper) + len(entry.lower)))
     return entry
 
 
@@ -484,11 +496,18 @@ def binomial_remainder(c, k0: int, u, full) -> complex:
     return value
 
 
+def _finite(value: complex, what: str) -> complex:
+    if not cmath.isfinite(value):
+        raise DomainError(f"{what}: the value {value} leaves the double range")
+    return value
+
+
 def gauss_sum_2f1(a, b, c) -> complex:
     """2F1(a,b;c;1) by the Gauss summation formula.
 
     Requires Re(c-a-b) > 0 unless the series terminates; raises
-    :class:`DivergenceError` otherwise.
+    :class:`DivergenceError` otherwise, and :class:`DomainError` where the
+    gamma product leaves the double range.
     """
     a, b, c = complex(a), complex(b), complex(c)
     d = c - a - b
@@ -496,21 +515,28 @@ def gauss_sum_2f1(a, b, c) -> complex:
         is_nonpositive_integer(a) or is_nonpositive_integer(b)
     ):
         raise DivergenceError("2F1 at z=1 diverges: Re(c-a-b) <= 0")
-    return gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b)
+    return _finite(gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b), "gauss_sum_2f1")
 
 
 def whipple_sum_3f2(a, c, d) -> complex:
-    """3F2(a, 1-a, c; d, 2c-d+1; 1) by Whipple's summation formula."""
+    """3F2(a, 1-a, c; d, 2c-d+1; 1) by Whipple's summation formula;
+    :class:`DomainError` where a factor or the product leaves the double
+    range."""
     a, c, d = complex(a), complex(c), complex(d)
-    return (
+    try:
+        power = 2.0 ** (1.0 - 2.0 * c)
+    except OverflowError:
+        raise DomainError(f"2^(1 - 2c) overflows at c = {c}") from None
+    return _finite(
         math.pi
-        * 2.0 ** (1.0 - 2.0 * c)
+        * power
         * gamma(d)
         * gamma(2.0 * c - d + 1.0)
         * rgamma(c + (a - d + 1.0) / 2.0)
         * rgamma(c + 1.0 - (a + d) / 2.0)
         * rgamma((a + d) / 2.0)
-        * rgamma((d - a + 1.0) / 2.0)
+        * rgamma((d - a + 1.0) / 2.0),
+        "whipple_sum_3f2",
     )
 
 
@@ -686,7 +712,7 @@ def hyp3f2(a1, a2, a3, b1, b2, z, control=None) -> complex:
 def _pow(base, exponent) -> complex:
     """Principal power, but exact integer exponentiation when possible
     (keeps (-z)**n off the branch cut); :class:`DomainError` where it
-    leaves the double range."""
+    leaves the double range, and at 0 to a negative or complex power."""
     e = complex(exponent)
     try:
         if e.imag == 0.0 and e.real == round(e.real) and abs(e.real) <= 512:
@@ -694,6 +720,8 @@ def _pow(base, exponent) -> complex:
         return complex(base) ** e
     except OverflowError:
         raise DomainError(f"({base:.6g})^{exponent} overflows") from None
+    except ZeroDivisionError:  # complex ** also says so where its result is out of range
+        raise DomainError(f"({base:.6g})^{exponent} is a pole or leaves the double range") from None
 
 
 _GAMMA_CONTROL = _TAIL_CONTROL._replace(max_terms=5000)  # the remainder's stop rule
@@ -713,6 +741,8 @@ def _exp_polynomial_gamma(nu, z, over_power):
     ``over_power``, with the size of its largest part and the modulus of
     the sum, both over (n-1)!."""
     n = int(nu.real)
+    if n > 171:  # (n-1)! is not a double, and forming it would take ages at large n
+        raise DomainError(f"(n-1)! leaves the double range at n = {n}")
     if z.real > 700.0:
         value, largest, total = float(math.factorial(n - 1)) + 0.0j, 1.0, 1.0
     else:

@@ -306,6 +306,14 @@ class TestRootsCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "not finite" in captured.err
 
+    @pytest.mark.parametrize("n,t", [("5", "1e100"), ("2", "1e308")])
+    def test_series_argument_beyond_the_double_range(self, n, t, capsys):
+        # a traceback of OverflowError once, and "pFq needs a finite argument"
+        assert main(["roots", n, t, "series"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: series argument at t = ({float(t):g}+0j) leaves the double range\n"
+
 
 class TestCheckCommand:
     def test_single_identity_grid(self, tmp_path, capsys):
@@ -646,6 +654,13 @@ class TestIntegrateCommand:
     def test_hypothesis_violation(self, capsys):
         assert main(["integrate", "J3", "--p", "0.4", "--x", "1"]) == 3
 
+    def test_j3_range_is_in_the_domain_check(self, capsys):
+        # x > 5 Re p / 3: once refused by the quadrature's own guard, as a
+        # side's DomainError
+        assert main(["integrate", "J3", "--p", "1", "--x", "1.7"]) == 3
+        assert capsys.readouterr().err == ("error: J3: point outside the supported domain "
+                                           "(real x with 0 < x <= 5 Re p / 3 (so Re(2p - x) > 0))\n")
+
     def test_overflowing_weight(self, capsys):
         assert main(["integrate", "J1", "--n", "0", "--s", "2", "--x", "1e300"]) == 3
 
@@ -733,3 +748,21 @@ def test_exit_code_table(argv, config, code, tmp_path):
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: ")
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["check", "--ids", "I01", "--out", "r.json"],
+                                  ["eval", "2f1", "0.5", "1", "2", "0.3"]])
+def test_closed_stdout_exits_quietly(argv, tmp_path):
+    # `| head -0`: the reader of stdout has gone before the command prints,
+    # and a traceback of BrokenPipeError once followed
+    src = str(Path(trihyp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "trihyp.cli", *argv], cwd=tmp_path, env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

@@ -1,6 +1,8 @@
 import cmath
+import hashlib
 import math
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from trihyp import identities, specfun
 from trihyp.errors import BudgetError, DomainError, TrihypError
 from trihyp.identities import (
+    Disc,
     coerce_params,
     default_grid,
     eval_identity,
@@ -495,3 +498,109 @@ class TestResolventReduction:
             if abs(z) < 1e-3:
                 continue
             assert rel(hyp3f2(0.25, 0.5, 0.75, 2 / 3, 4 / 3, z), i15_rhs(z)) < 1e-10
+
+
+_SEEDS = (20260811, 7, 13)
+
+
+def _edge_probes(domain):
+    """(value, inside) at each edge a domain declares: a disc's outer and
+    inner radius (on the imaginary axis, where no segment lies and the
+    modulus is exact) and a step beyond each; a segment's ends (inside
+    where closed), a step beyond each and a step off the axis; the exact
+    points."""
+    w = 1j
+    probes = [(complex(p), True) for p in domain.points]
+    for r in domain.regions:
+        if isinstance(r, Disc):
+            probes += [(r.radius * w, True), (r.radius * (1.0 + 1e-12) * w, False)]
+            if r.inner:
+                probes += [(r.inner * w, True), (r.inner * (1.0 - 1e-12) * w, False)]
+        else:
+            step = 1e-12 * max(1.0, abs(r.lo), abs(r.hi))
+            probes += [(complex(r.lo), r.ends[0] == "["), (complex(r.hi), r.ends[1] == "]"),
+                       (complex(r.lo - step), False), (complex(r.hi + step), False),
+                       (complex((r.lo + r.hi) / 2.0, step), False)]
+    return probes
+
+
+class TestDomains:
+    """Each I and K entry declares its domain once, and its predicate, its
+    default-grid sampler and its text derive from that value."""
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_default_grid_points_lie_in_the_domain(self, seed):
+        outside = [(d.id, p) for d in list_identities() for p in default_grid(d.id, seed=seed)
+                   if not d.in_domain(**coerce_params(d.id, p))]
+        assert outside == []
+
+    @pytest.mark.parametrize("seed,digest", zip(_SEEDS, (
+        "e299d086425646d593d5c266abc33139d235aa00921facc7aa7c100fd680ef67",
+        "7d47677c12b828ba573ad5d4ee29b620d1f24e0a080f2ee1cdd94dbde841a031",
+        "fbba2d9c82b99369f793422083df436f4cef91a27aab1a280ba1c1182af5c079",
+    )))
+    def test_default_grids_keep_their_draws(self, seed, digest):
+        # the derived sampler draws n, then the region, then the value (again
+        # while an extra condition fails), as the per-entry samplers it
+        # replaced did, so every default grid is the same
+        text = repr([(d.id, default_grid(d.id, seed=seed)) for d in list_identities()])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cid", [d.id for d in list_identities() if not d.quadrature])
+    def test_declared_edges_fall_on_their_side(self, cid):
+        desc = get_identity(cid)
+        dom = desc.domain
+        ns = [None] if dom.n is None else [dom.n.start, dom.n.stop - 1]
+        for value, inside in _edge_probes(dom):
+            expected = inside and all(holds(value) for holds, _ in dom.extra)
+            for n in ns:
+                point = {dom.var: value} if n is None else {"n": n, dom.var: value}
+                assert desc.in_domain(**coerce_params(cid, point)) == expected, point
+        if dom.n is not None:
+            value = next(v for v, inside in _edge_probes(dom) if desc.in_domain(n=ns[0], **{dom.var: v}))
+            for n in (dom.n.start - 1, dom.n.stop):
+                assert not desc.in_domain(n=n, **{dom.var: value})
+
+    @pytest.mark.parametrize("cid,text", [
+        ("I02", "n in 0..5, |t| <= 0.92 or t = 1; t = 1 divergent for n >= 1"),
+        ("I14", "n in 1..3, z real in (0, 0.97]; the Bell form is branch-valid on (0, 1) only"),
+        ("I15", "1e-8 <= |z| <= 0.95 or z = 1"),
+        ("I16", "1e-8 <= |z| <= 0.95 with |4z/(1-z)^2| <= 0.95"),
+        ("I17", "1e-8 <= |z| <= 0.95 or z real in [-6, 0) or z = 1"),
+        ("K02", "n in 1..5, 1 <= |z| <= 8"),
+        ("J3", "real x with 0 < x <= 5 Re p / 3 (so Re(2p - x) > 0)"),
+    ])
+    def test_text(self, cid, text):
+        assert get_identity(cid).domain.text == text
+
+    def test_readme_states_each_domain(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        missing = [d.id for d in list_identities()
+                   if f"- `{d.id}`: `{d.domain.text}`" not in readme]
+        assert missing == []
+
+    @pytest.mark.parametrize("cid,point,verdict", [
+        ("I14", {"n": 1, "z": 0.001}, "pass"),  # the text's (0, 0.97]; the predicate once began at 0.005
+        ("I14", {"n": 3, "z": 1e-150}, "skipped_domain"),  # the Bell form's powers leave the range
+        ("I15", {"z": 1e-8}, "pass"),
+        ("I15", {"z": 1e-9}, "skipped_domain"),  # below the floor the g route loses its digits
+        ("I16", {"z": -1e-9}, "skipped_domain"),
+        ("I17", {"z": 1e-9j}, "skipped_domain"),
+        ("J3", {"p": 1.0, "x": 1.7}, "skipped_domain"),  # x > 5 Re p / 3: in the domain check now
+    ])
+    def test_drift_resolutions(self, cid, point, verdict):
+        assert eval_identity(cid, point, get_identity(cid).tolerance).verdict == verdict
+
+    def test_i14_near_zero_vs_mpmath(self):
+        # both sides keep their digits below the draws' 0.005, down to where
+        # the Bell form's powers leave the double range
+        mpmath = pytest.importorskip("mpmath")
+        desc = get_identity("I14")
+        for z in (4e-3, 1e-3, 1e-4, 1e-6, 1e-30, 1e-100):
+            for n in (1, 2, 3):
+                with mpmath.workdps(40):
+                    third = mpmath.mpf(1) / 3
+                    ref = complex(mpmath.hyp2f1(third, 2 * third, mpmath.mpf(3) / 2 - n, z)
+                                  * mpmath.rgamma(mpmath.mpf(3) / 2 - n))
+                assert abs(desc.lhs(n, z) - ref) <= 1e-14 * abs(ref), (n, z)
+                assert abs(desc.rhs(n, z) - ref) <= 1e-14 * abs(ref), (n, z)

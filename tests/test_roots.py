@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from random import Random
 
 import pytest
@@ -59,6 +60,11 @@ class TestQuadratic:
         rs = quadratic_roots(0.21)
         assert abs(rs.roots[0] - 0.3) < 1e-15 and abs(rs.roots[1] - 0.7) < 1e-15
         assert max(rs.residuals) < 1e-15
+
+    def test_roots_beyond_the_double_range(self):
+        # 1 - 4t overflows: the roots were once (nan+infj, nan-infj)
+        with pytest.raises(DomainError, match="are not finite"):
+            quadratic_roots(8.0e307 + 4.2e307j)
 
     def test_branch_matches_series(self):
         # first entry is the t -> 0 branch
@@ -227,6 +233,34 @@ class TestSeriesRoute:
     def test_disc_bound_values(self):
         for n, radius in DISC_RADII.items():
             assert abs(series_argument(n, radius)) < 0.999
+
+    @pytest.mark.parametrize("n,t", [(5, 1e100), (3, 1e200), (2, 1e308)])
+    def test_argument_beyond_the_double_range_names_t(self, n, t):
+        # a bare OverflowError from the power once, and at (2, 1e308)
+        # "pFq needs a finite argument, got (nan+nanj)"
+        with pytest.raises(DomainError, match=re.escape(f"at t = ({t:g}+0j) leaves the double range")):
+            root_hypergeometric(TrinomialInstance(n, t))
+
+    def test_parameters_cancel_one_pair(self):
+        # j/n = k/(n-1) only at j = n, k = n-1: the one pair cancelled
+        # equals what a search over every pair cancels
+        from trihyp.roots import _series_parameters
+
+        for n in range(2, 40):
+            upper = [j / n for j in range(1, n + 1)]
+            lower = [j / (n - 1) for j in range(2, n + 1)]
+            for v in list(lower):
+                if v in upper:
+                    upper.remove(v)
+                    lower.remove(v)
+            assert _series_parameters(n) == (upper, lower)
+
+    def test_degree_is_bounded(self):
+        # a degree of 10^5 once built its parameters in O(n^2), and one of
+        # 10^300 ran out of memory
+        for n in (10**5, 10**300):
+            with pytest.raises(DomainError, match="above the series route's 10\\^4"):
+                root_hypergeometric(TrinomialInstance(n, 1e-6))
 
 
 class TestGFunction:

@@ -270,6 +270,16 @@ class TestGamma:
         with pytest.raises(DomainError, match="finite"):
             rgamma(z)
 
+    @pytest.mark.parametrize("z", [0.5 + 700j, 0.6 - 1e308j, 0.4 + 1e308j, -6e307 - 1e73j])
+    def test_underflow_far_out_is_domain_error(self, z):
+        # gamma(0.5+700i) once returned -0j where gamma(0.4+700i) refused; at
+        # the others the Lanczos power or sin(pi z) raised ZeroDivisionError
+        # or ValueError
+        with pytest.raises(DomainError, match=r"^gamma underflows at z = "):
+            gamma(z)
+        with pytest.raises(DomainError, match=r"^1/gamma overflows at z = "):
+            rgamma(z)
+
     def test_underflow_off_the_real_axis_is_domain_error(self):
         # |gamma(700i)| ~ e^(-350 pi); sin(700 pi i) overflows first, and the
         # error once said "gamma overflows"
@@ -455,6 +465,15 @@ class TestHypPfq:
             raw = _sum_series((a, b), (c,), 1.0 + 0.0j, ctrl).value
             assert rel(raw, gauss_sum_2f1(a, b, c)) < 1e-9
 
+    @pytest.mark.parametrize("fn,args", [
+        (gauss_sum_2f1, (-4.7e-120 + 6.1e-120j, 3.1e-164 - 2.1e-164j, -2.5e-300 - 8.2e-301j)),  # nan
+        (whipple_sum_3f2, (1.8e-108 - 2.2e-108j, -3.8e239 + 5.0e239j, -5.1e-222 - 7.4e-222j)),
+    ], ids=["gauss", "whipple"])
+    def test_summation_beyond_the_double_range_is_domain_error(self, fn, args):
+        # the gamma product was nan, 2^(1 - 2c) raised OverflowError
+        with pytest.raises(DomainError):
+            fn(*args)
+
     def test_whipple_vs_raw_series(self):
         rng = Random(56)
         ctrl = SeriesControl(rel_tol=1e-15, max_terms=6000, consecutive_small=3)
@@ -628,10 +647,13 @@ class TestIncompleteGamma:
         for nu in (1, 4, 2.5):
             assert rel(lower_incomplete_gamma_over_power(nu, z), 1.0 / nu) < 1e-15
 
-    @pytest.mark.parametrize("nu,z", [(0.3, 300j), (0.5, -500.0), (0.5, 550 + 200j), (200.5, 500.0)])
+    @pytest.mark.parametrize("nu,z", [(0.3, 300j), (0.5, -500.0), (0.5, 550 + 200j), (200.5, 500.0),
+                                      (1.9e307 + 8.4e306j, 1.6e-277 + 1.0e-277j), (1e20, 1000.0)])
     def test_cancellation_or_overflow_raises(self, nu, z):
         # mpmath: 2.98-0.009i, 1.77+6.3e215i, and a value the series misses by
-        # 12%; the last overflows the z^nu prefactor
+        # 12%; the fourth overflows the z^nu prefactor, and the fifth's z^nu
+        # raised ZeroDivisionError; at the last, an integer order of 1e20, the
+        # exponential-polynomial form once began on (10^20 - 1)!
         with pytest.raises(DomainError, match="8 digits"):
             lower_incomplete_gamma(nu, z)
 
@@ -656,6 +678,7 @@ class TestIncompleteBeta:
     @pytest.mark.parametrize("nu,mu,t,message", [
         (1e-320, 1, 1e300, "is not finite"),  # 1/nu overflows; once inf+nanj
         (3000, 1, 3000, "overflows"),  # t^nu; once a bare OverflowError
+        (5.7e305 + 2.4e306j, 1.3e-96, -3.4e-93, "leaves the double range"),  # ZeroDivisionError
     ])
     def test_out_of_range_is_domain_error(self, nu, mu, t, message):
         with pytest.raises(DomainError, match=message):
