@@ -335,19 +335,15 @@ def report_to_csv(report: Report) -> str:
 # subcommand implementations
 # --------------------------------------------------------------------------
 
-# series evaluations behind the CLI run at a tighter truncation than the
-# library default; rounding still costs a sum about 1e-16 times its largest
-# term over its value, so _pfq_entry refuses one that loses 8 digits
-_CLI_CONTROL = sf.SeriesControl(rel_tol=5e-16, max_terms=100_000, consecutive_small=4)
-
-
 def _pfq_entry(name: str, p: int, q: int, evaluate=sf.hyp_pfq):
     """The ``eval`` entry of a pFq taking its p upper, q lower parameters
-    and z: :class:`DomainError` where the terms cancel by more than 8
+    and z, summed to the library's one stop rule: rounding still costs a
+    sum about 1e-16 times its largest term over its value, so
+    :class:`DomainError` is raised where the terms cancel by more than 8
     digits, also to exactly 0 (2F1(-1, 1; 1; 1))."""
 
     def run(*args):
-        return sf._kept_digits(evaluate(args[:p], args[p:p + q], args[-1], _CLI_CONTROL), name)
+        return sf._kept_digits(evaluate(args[:p], args[p:p + q], args[-1]), name)
 
     return run, p + q + 1
 

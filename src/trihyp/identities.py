@@ -726,12 +726,26 @@ _register(
     quadrature=True,
 )
 
+
+def _resolved(m: int, x, decay: float) -> bool:
+    """|x| <= 1e16 m^-9 decay: the scale up to which the quadrature of a J1
+    or J2 integrand, which holds gamma(m, xt), resolves the step of the
+    incomplete gamma near t = m/|x|.  Measured on real x > 0 (steps of 1/8
+    decade, decay 0.01 to 100), J1 first fails at |x|/decay = 10^17.4
+    (m = 1), 10^12.75 (m = 3), 10^8.25 (m = 11) and 10^6.1 (m = 21), and J2
+    no lower, so the bound keeps a decade or more in hand.  The entries
+    hold m to at most 171, where their closed forms' factorials are
+    doubles."""
+    return abs(x) * m**9 <= 1e16 * decay
+
+
 _register(
     id="J1",
     domain=Hypotheses(
         (ParamSpec("n", "int"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
-        "n >= 0, Re s > 0, Re(s + x) > 0",
-        lambda n, s, x: n >= 0 and s.real > 0 and (s + x).real > 0,
+        "0 <= n <= 170, Re s > 0, Re(s + x) > 0 and |x| <= 1e16 (n+1)^-9 min(Re s, Re(s + x))",
+        lambda n, s, x: 0 <= n <= 170 and s.real > 0 and (s + x).real > 0
+        and _resolved(n + 1, x, min(s.real, (s + x).real)),
     ),
     lhs=quad.j1_integral,
     rhs=quad.j1_closed_form,
@@ -747,9 +761,11 @@ _register(
     id="J2",
     domain=Hypotheses(
         (ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
-        "n >= 1; Re p > 0 and Re(p + x) > 0, or p = 0 (algebraic tail) with Re x > 0",
-        lambda n, p, x: n >= 1
-        and (x.real > 0 if p == 0 else p.real > 0 and (p + x).real > 0),
+        "1 <= n <= 171; Re p > 0, Re(p + x) > 0 and |x| <= 1e16 n^-9 min(Re p, Re(p + x)), "
+        "or p = 0 (algebraic tail) with Re x > 0 and |x| <= 1e13",
+        lambda n, p, x: 1 <= n <= 171
+        and (x.real > 0 and abs(x) <= 1e13 if p == 0
+             else p.real > 0 and (p + x).real > 0 and _resolved(n, x, min(p.real, (p + x).real))),
     ),
     lhs=quad.j2_integral,
     rhs=quad.j2_closed_form,

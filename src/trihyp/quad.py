@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 from .errors import BudgetError, DomainError
 from .specfun import (
+    _finite,
     _pow,
     binomial_remainder,
     gamma,
@@ -77,7 +78,7 @@ def _level_sum(f, node, h: float, start: int, step: int) -> tuple[complex, int]:
                 contributions[end] = xw[1] * f(xw[0])
         total += sum(contributions.values())
         for end, c in contributions.items():
-            if i > 3 and abs(c) <= 1e-18 * (abs(total) + 1e-30):
+            if i > 3 and abs(c) <= 1e-18 * abs(total):
                 dead[end] += 1
                 if dead[end] >= 2:
                     del dead[end]
@@ -221,8 +222,19 @@ def laplace_integral(a, b, alpha, s, x, tol) -> complex:
 
 
 def laplace_closed_form(a, b, alpha, s, x) -> complex:
-    """Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s)."""
-    return gamma(alpha) * s ** (-alpha) * hyp_pfq(a + (alpha,), b, x / s).value
+    """Gamma(alpha) s^-alpha p+1Fq(a, alpha; b; x/s).
+
+    A non-finite argument, s = 0 and a value that leaves the double range
+    raise :class:`DomainError`."""
+    alpha, s, x = complex(alpha), complex(s), complex(x)
+    if not (cmath.isfinite(alpha) and cmath.isfinite(s) and cmath.isfinite(x)) or s == 0:
+        raise DomainError(f"laplace_closed_form needs finite alpha, s, x and s != 0, "
+                          f"got ({alpha}, {s}, {x})")
+    try:
+        value = gamma(alpha) * s ** (-alpha) * hyp_pfq(tuple(a) + (alpha,), b, x / s).value
+    except (OverflowError, ZeroDivisionError):  # complex ** out of range raises either
+        value = math.nan
+    return _finite(value, f"laplace_closed_form at alpha = {alpha}, s = {s}, x = {x}")
 
 
 def laplace_random_draw(rng) -> dict:
@@ -248,13 +260,31 @@ def j1_integral(n: int, s, x, tol) -> complex:
     return _quadrature(f, -0.5, min(s.real, (s + x).real), tol)
 
 
+def _order_and_arguments(what: str, n, least: int, *args) -> tuple:
+    """``args`` as complex numbers, where n is an integer >= ``least`` and
+    every argument is finite; :class:`DomainError` otherwise."""
+    if not (isinstance(n, int) and n >= least):
+        raise DomainError(f"{what} needs an integer n >= {least}, got {n!r}")
+    args = tuple(map(complex, args))
+    if not all(map(cmath.isfinite, args)):
+        raise DomainError(f"{what} needs finite arguments, got {args}")
+    return args
+
+
 def j1_closed_form(n: int, s, x) -> complex:
-    """-2 sqrt(pi) n! [sqrt(s) - sqrt(s+x) sum_{k<=n} (-1/2)_k/k! (x/(x+s))^k]."""
-    s, x = complex(s), complex(x)
-    # the bracket is sqrt(s+x) times the tail of (1-u)^(1/2) in u = x/(x+s)
-    u = x / (x + s)
-    tail = u ** (n + 1) * binomial_remainder(-0.5, n + 1, u, cmath.sqrt(s) / cmath.sqrt(s + x))
-    return -2.0 * _SQRT_PI * math.factorial(n) * cmath.sqrt(s + x) * tail
+    """-2 sqrt(pi) n! [sqrt(s) - sqrt(s+x) sum_{k<=n} (-1/2)_k/k! (x/(x+s))^k].
+
+    An order that is not an integer n >= 0, a non-finite argument and a
+    value that leaves the double range raise :class:`DomainError`."""
+    s, x = _order_and_arguments("j1_closed_form", n, 0, s, x)
+    try:
+        # the bracket is sqrt(s+x) times the tail of (1-u)^(1/2) in u = x/(x+s)
+        u = x / (x + s)
+        tail = u ** (n + 1) * binomial_remainder(-0.5, n + 1, u, cmath.sqrt(s) / cmath.sqrt(s + x))
+        value = -2.0 * _SQRT_PI * math.factorial(n) * cmath.sqrt(s + x) * tail
+    except (OverflowError, ZeroDivisionError):  # n! or a power past the double range, x = -s
+        value = math.nan
+    return _finite(value, f"j1_closed_form({n}, {s}, {x})")
 
 
 def j2_integral(n: int, p, x, tol) -> complex:
@@ -272,19 +302,28 @@ def j2_integral(n: int, p, x, tol) -> complex:
 
 
 def j2_closed_form(n: int, p, x) -> complex:
-    """Piecewise closed form of int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt."""
-    p, x = complex(p), complex(x)
-    if p == 0:
-        return 2.0 * _SQRT_PI * _pow(x, n - 0.5) / (2 * n - 1)
-    # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
-    tail = _pow(-x / p, n) * binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
-    return (
-        -_SQRT_PI
-        * math.factorial(n - 1)
-        * _pow(-p, n - 1)
-        / pochhammer(0.5, n)
-        * (cmath.sqrt(p + x) * tail)
-    )
+    """Piecewise closed form of int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt.
+
+    An order that is not an integer n >= 1, a non-finite argument and a
+    value that leaves the double range raise :class:`DomainError`."""
+    p, x = _order_and_arguments("j2_closed_form", n, 1, p, x)
+    try:
+        if p == 0:
+            value = 2.0 * _SQRT_PI * _pow(x, n - 0.5) / (2 * n - 1)
+        else:
+            # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
+            u = -x / p
+            tail = _pow(u, n) * binomial_remainder(0.5, n, u, cmath.sqrt(p) / cmath.sqrt(p + x))
+            value = (
+                -_SQRT_PI
+                * math.factorial(n - 1)
+                * _pow(-p, n - 1)
+                / pochhammer(0.5, n)
+                * (cmath.sqrt(p + x) * tail)
+            )
+    except (OverflowError, ZeroDivisionError):  # (n-1)! or a quotient past the double range
+        value = math.nan
+    return _finite(value, f"j2_closed_form({n}, {p}, {x})")
 
 
 def j3_integral(p, x, tol) -> complex:

@@ -16,7 +16,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .specfun import SeriesControl, hyp_pfq
+from .specfun import hyp_pfq
 
 __all__ = [
     "TrinomialInstance",
@@ -75,7 +75,7 @@ def residual(inst: TrinomialInstance, x) -> float:
     x = complex(x)
     try:
         value = abs(x**inst.n - x + inst.t)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # complex ** out of range raises either
         value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"the residual of x^{inst.n} - x + t at x = {x} is not finite")
@@ -106,8 +106,6 @@ def _series_parameters(n: int):
     return upper, lower
 
 
-# the series converges slowly near the edge |z| = 0.999 of its disc
-_ROOT_SERIES_CONTROL = SeriesControl(max_terms=40_000)
 # the parameters and each term cost about 2n operations: the degree is held
 # to 10^4, so that a sum takes well under 1 s
 _ROOT_SERIES_MAX_DEGREE = 10**4
@@ -128,7 +126,7 @@ def root_hypergeometric(inst: TrinomialInstance) -> complex:
             f"series argument |z| = {abs(z):.4f} outside the convergence disc"
         )
     upper, lower = _series_parameters(inst.n)
-    return inst.t * hyp_pfq(upper, lower, z, _ROOT_SERIES_CONTROL).value
+    return inst.t * hyp_pfq(upper, lower, z).value
 
 
 # n k at most this: a partial sum's factorials take well under 0.1 s

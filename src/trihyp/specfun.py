@@ -17,7 +17,10 @@ its index alone, so no value depends on the table's state.  The same
 loop sums the elementary brackets ``1 - (truncated binomial series)``
 of the identity catalog through :func:`binomial_remainder`, and the
 series of the lower incomplete gamma; it is the one loop that sums a
-convergent series.
+convergent series.  It has one stop rule, the default
+:class:`SeriesControl`: a sum ends once three successive terms are at or
+below 2^-52 (about 2.2e-16) of the partial sum, so every caller sums the
+same series to the same value.
 """
 
 from __future__ import annotations
@@ -258,8 +261,8 @@ def pochhammer(a, k: int) -> complex:
 
 
 class _SeriesControlFields(NamedTuple):
-    rel_tol: float = 1e-13
-    max_terms: int = 10_000
+    rel_tol: float = 2.0**-52
+    max_terms: int = 100_000
     consecutive_small: int = 3
 
 
@@ -267,7 +270,11 @@ class SeriesControl(_SeriesControlFields):
     """Truncation policy for the hypergeometric series evaluators.
 
     Summation stops once ``consecutive_small`` successive terms fall
-    below ``rel_tol`` times the running partial sum.
+    at or below ``rel_tol`` times the running partial sum.  The default,
+    which every sum of the package uses, is the rounding level: three
+    terms in a row at or below 2^-52 (about 2.2e-16) of the partial sum,
+    within 100 000 terms.  A caller may pass another control for a
+    different budget.
     """
 
     __slots__ = ()
@@ -297,6 +304,7 @@ class SeriesResult(NamedTuple):
     largest: float = 0.0
 
 
+# the one stop rule: every sum of the package stops at the rounding level
 _DEFAULT_CONTROL = SeriesControl()
 
 # a sum whose largest term exceeds it more than this many times has lost
@@ -370,7 +378,7 @@ class _Series:
 # per parameter (the root series of degree n has about 2n parameters).  Each
 # ratio is computed from the parameters and its index alone, so no result
 # depends on what is held.
-_SERIES_LIMIT = 1 << 17  # above the CLI's 100 000-term budget; ~5 MB when full
+_SERIES_LIMIT = 1 << 17  # above the default 100 000-term budget; ~5 MB when full
 _ENTRY_SIZE = 16
 _series_cache: dict = {}
 _series_held = 0
@@ -409,7 +417,7 @@ def _unconverged(upper, lower, terms, total, term, largest, why=""):
     )
 
 
-def _sum_series(upper, lower, z, ctrl, start_term=None):
+def _sum_series(upper, lower, z, ctrl=_DEFAULT_CONTROL, start_term=None):
     """Raw term-recurrence summation of sum_k t_k with t_{k+1} = t_k r_k z,
     r_k = prod(a+k) / ((k+1) prod(b+k)), the ratios taken from the table
     of (upper, lower) that every call shares.
@@ -466,8 +474,6 @@ def _sum_series(upper, lower, z, ctrl, start_term=None):
 
 
 _TAIL_CUT = 0.8  # sum the remainder as a series while |u| is at most this
-# the remainder's stop rule: one term at or below 1e-17 of the partial sum
-_TAIL_CONTROL = SeriesControl(rel_tol=1e-17, max_terms=4000, consecutive_small=1)
 
 
 def binomial_remainder(c, k0: int, u, full) -> complex:
@@ -475,17 +481,20 @@ def binomial_remainder(c, k0: int, u, full) -> complex:
     the binomial series of (1-u)^(-c) less its head, over its leading power,
     so a bracket ``1 - (truncated series)`` that shrinks like u^k0 is u^k0
     times a value in range at any small u.  Summed by the series engine
-    where |u| <= 0.8 (a sum not converged in 4000 terms raises its
-    :class:`BudgetError`), elsewhere as ``full`` (the value of (1-u)^(-c)
+    where |u| <= 0.8 (a sum not converged within the default budget raises
+    its :class:`BudgetError`), elsewhere as ``full`` (the value of (1-u)^(-c)
     on the caller's branch) less the head, over u^k0.  A non-finite ``c``
-    or ``u``, or past the cut a value that is not finite, raises
-    :class:`DomainError`."""
+    or ``u``, a k0 above 170 (k0! leaves the double range), or past the
+    cut a value that is not finite, raises :class:`DomainError`."""
     u = complex(u)
     if not (cmath.isfinite(c) and cmath.isfinite(u)):
         raise DomainError(f"binomial_remainder needs finite c and u, got ({c}, {u})")
     if abs(u) <= _TAIL_CUT:
-        start = pochhammer(c, k0) / math.factorial(k0)
-        return _sum_series((c + k0, 1.0), (k0 + 1.0,), u, _TAIL_CONTROL, start_term=start).value
+        try:
+            start = pochhammer(c, k0) / math.factorial(k0)
+        except OverflowError:  # k0! is past the double range from k0 = 171
+            raise DomainError(f"binomial_remainder: {k0}! leaves the double range") from None
+        return _sum_series((c + k0, 1.0), (k0 + 1.0,), u, start_term=start).value
     try:
         head = sum(pochhammer(c, k) / math.factorial(k) * u**k for k in range(k0))
         value = (full - head) / u**k0
@@ -724,14 +733,11 @@ def _pow(base, exponent) -> complex:
         raise DomainError(f"({base:.6g})^{exponent} is a pole or leaves the double range") from None
 
 
-_GAMMA_CONTROL = _TAIL_CONTROL._replace(max_terms=5000)  # the remainder's stop rule
-
-
 def _gamma_series(nu, z, over_power):
     """z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)), without its z^nu
     when ``over_power``, with its largest term and the modulus of its sum.
     The sum is (1/nu) 1F1(1; nu+1; z), summed by the series engine."""
-    res = _sum_series((1.0,), (nu + 1.0,), z, _GAMMA_CONTROL, start_term=1.0 / nu)
+    res = _sum_series((1.0,), (nu + 1.0,), z, start_term=1.0 / nu)
     scale = cmath.exp(-z) if over_power else _pow(z, nu) * cmath.exp(-z)
     return scale * res.value, res.largest, abs(res.value)
 
@@ -793,9 +799,9 @@ def lower_incomplete_gamma(nu, z) -> complex:
     """Lower incomplete gamma gamma(nu, z) for Re nu > 0 (any integer
     nu >= 1 included), by the everywhere-convergent scaled series
     z^nu e^(-z) sum_k z^k / (nu (nu+1) ... (nu+k)) = z^nu e^(-z)
-    1F1(1; nu+1; z) / nu, summed by the series engine (stopping at the
-    first term at or below 1e-17 of the partial sum), or, for integer
-    nu = n, the exponential-polynomial form (n-1)! (1 - e^(-z) e_{n-1}(z)).
+    1F1(1; nu+1; z) / nu, summed by the series engine to its one stop
+    rule (the rounding level), or, for integer nu = n, the
+    exponential-polynomial form (n-1)! (1 - e^(-z) e_{n-1}(z)).
 
     Each form loses the digits its largest part exceeds its sum by: the
     series off the positive real axis at large |z|, the polynomial form

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import json
 import math
@@ -13,6 +14,8 @@ import pytest
 
 import trihyp
 from trihyp import cli
+from trihyp import specfun as sf
+from trihyp.identities import get_identity
 from trihyp.cli import (
     SweepConfig,
     default_tolerance,
@@ -190,7 +193,7 @@ class TestEvalCommand:
             (["rgamma", "0.3"], "0.33427275256419"),
             (["gamma_lower", "0.5", "2+1i"], "1.74256455528458+0.0719492659711545i"),
             (["beta_inc", "0.5", "0.5", "0.3"], "1.15927948072741"),
-            (["legendre_p", "0.5", "0.3", "0.2"], "0.396741104615353"),
+            (["legendre_p", "0.5", "0.3", "0.2"], "0.396741104615349"),
             (["pcd", "0.3333", "-1.2"], "-0.0522305961339989"),
         ],
     )
@@ -274,11 +277,41 @@ def test_eval_at_extreme_arguments_prints_a_finite_value_or_an_error():
             assert "Traceback" not in message, (call, message)
 
 
+class TestOneStopRule:
+    @pytest.mark.parametrize("t", ["0.5", "-0.7", "0.9", "-0.92", "0.3+0.8i", "0.92i"])
+    def test_eval_sums_the_catalog_series(self, t, capsys):
+        # eval and the catalog once stopped at 5e-16 and 1e-13 of the partial
+        # sum, 6.2e-13 apart at t = 0.9
+        assert main(["eval", "2f1", "0.5", "1", "2", "--", t]) == 0
+        lhs = get_identity("I01").lhs(parse_complex(t))
+        assert capsys.readouterr().out.strip() == format_value(lhs)
+
+    def test_the_package_builds_one_control(self):
+        # the default SeriesControl is the one stop rule of every sum
+        src = Path(sf.__file__).parent
+        built = [
+            (path.name, node.lineno)
+            for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SeriesControl"
+        ]
+        assert [name for name, _ in built] == ["specfun.py"]
+        assert sf.SeriesControl() == (2.0**-52, 100_000, 3)
+
+
 class TestRootsCommand:
     def test_closed_quadratic(self, capsys):
         assert main(["roots", "2", "0.21", "closed"]) == 0
         out = capsys.readouterr().out
         assert "0.3" in out and "0.7" in out
+
+    @pytest.mark.parametrize("n,t", [("2", "0.2497"), ("3", "0.38")])
+    def test_series_root_near_the_edge_sums_to_the_rounding_level(self, n, t, capsys):
+        # the series argument is 0.9988 and 0.9868: a stop rule at 1e-13 of
+        # the partial sum left deviations of 3.6e-11 and 1.8e-12
+        assert main(["roots", n, t, "both"]) == 0
+        dev = float(capsys.readouterr().out.strip().splitlines()[-1].split(":")[1])
+        assert dev <= 1e-13
 
     def test_both_quartic(self, capsys):
         assert main(["roots", "4", "0.05", "both"]) == 0
@@ -588,6 +621,25 @@ class TestIntegrateCommand:
         assert main(["integrate", *args]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] != "quadrature  = none" and out[2].endswith("verdict = pass")
+
+    @pytest.mark.parametrize("args,code", [
+        (["J1", "--n", "2", "--s", "1", "--x", "5e11"], 0),  # 1e16 / 3^9 = 5.08e11
+        (["J1", "--n", "2", "--s", "1", "--x", "6e11"], 3),
+        (["J1", "--n", "0", "--s", "1", "--x", "1e20"], 3),
+        (["J2", "--n", "1", "--p", "1", "--x", "1e15"], 0),  # 1e16
+        (["J2", "--n", "1", "--p", "1", "--x", "1e100"], 3),
+        (["J2", "--n", "2", "--p", "0", "--x", "1e13"], 0),
+        (["J2", "--n", "2", "--p", "0", "--x", "1e14"], 3),
+    ])
+    def test_scale_limit(self, args, code, capsys):
+        # beyond it the quadrature once ran out of levels while the closed
+        # form was finite: "quadrature = none" and a fail
+        assert main(["integrate", *args]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out.splitlines()[2].endswith("verdict = pass")
+        else:
+            assert captured.out == "" and "outside the supported domain" in captured.err
 
     def test_side_without_value(self, capsys):
         # in the J1 domain, but the slowly damped oscillation exhausts the quadrature budget

@@ -1,10 +1,12 @@
 """Seeded fuzz of the public evaluators and of every command over the whole
 double range.
 
-Each public evaluator of ``specfun`` and ``roots`` gets its own seed and
-is called on arguments whose moduli are log-uniform from 1e-320 to 1e308,
-with random phases (a quarter of the draws real); an integer argument has
-a random sign and a log-uniform size up to 1e3 or, as often, up to 1e308.  Each call must return
+Each public evaluator of ``specfun`` and ``roots``, and each closed form
+of ``quad``, gets its own seed and is called on arguments whose moduli are
+log-uniform from 1e-320 to 1e308, or, for a third of the draws, from 1 to
+1e3 (the moderate band, where most code paths branch), with random phases
+(a quarter of the draws real); an integer argument has a random sign and
+a log-uniform size up to 1e3 or, as often, up to 1e308.  Each call must return
 a finite value or raise a :class:`TrihypError` within 2 s.  Each command
 is run on such arguments as well, and must print finite values or one
 ``error:`` line, with exit code 0 to 3.  The calls run in a subprocess
@@ -27,8 +29,8 @@ import trihyp
 
 SECONDS = 2.0  # the time bound of one call
 
-# argument kinds: c complex, i integer, r real, C a list of two complex,
-# T a TrinomialInstance (integer degree, complex t)
+# argument kinds: c complex, i integer, C a list of two complex, P a tuple of
+# up to two complex, T a TrinomialInstance (integer degree, complex t)
 EVALUATORS = {
     "specfun.gamma": "c",
     "specfun.rgamma": "c",
@@ -58,6 +60,10 @@ EVALUATORS = {
     "roots.g_function": "c",
     "roots.residual": "Tc",
     "roots.trinomial_closed_roots": "ic",
+    "quad.laplace_closed_form": "PPccc",
+    "quad.j1_closed_form": "icc",
+    "quad.j2_closed_form": "icc",
+    "quad.j3_closed_form": "cc",
 }
 CALLS = 400  # per evaluator
 
@@ -67,12 +73,13 @@ CALLS = 400  # per evaluator
 _CHILD = """
 import cmath, json, math, sys, time
 from random import Random
-from trihyp import roots, specfun
+from trihyp import quad, roots, specfun
 from trihyp.errors import TrihypError
 
 def draw(rng, kind):
     if kind == "c":
-        m = 10.0 ** rng.uniform(-320.0, 308.0)
+        low, high = (0.0, 3.0) if rng.random() < 1.0 / 3.0 else (-320.0, 308.0)
+        m = 10.0 ** rng.uniform(low, high)
         if rng.random() < 0.25:
             return complex(rng.choice((m, -m)))
         return m * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -81,6 +88,8 @@ def draw(rng, kind):
         return rng.choice((1, -1)) * int(10.0 ** rng.uniform(0.0, top))
     if kind == "C":
         return [draw(rng, "c"), draw(rng, "c")]
+    if kind == "P":
+        return tuple(draw(rng, "c") for _ in range(rng.randint(0, 2)))
     return roots.TrinomialInstance(abs(draw(rng, "i")) + 1, draw(rng, "c"))
 
 def finite(v):
@@ -88,7 +97,7 @@ def finite(v):
         return all(map(finite, v))
     return isinstance(v, int) or cmath.isfinite(v)  # an int is exact at any size
 
-modules = {"specfun": specfun, "roots": roots}
+modules = {"specfun": specfun, "roots": roots, "quad": quad}
 for name, kinds, count in json.load(sys.stdin):
     module, attr = name.split(".")
     fn = getattr(modules[module], attr)

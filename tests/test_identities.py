@@ -604,3 +604,52 @@ class TestDomains:
                                   * mpmath.rgamma(mpmath.mpf(3) / 2 - n))
                 assert abs(desc.lhs(n, z) - ref) <= 1e-14 * abs(ref), (n, z)
                 assert abs(desc.rhs(n, z) - ref) <= 1e-14 * abs(ref), (n, z)
+
+
+def _gauss_series(n):
+    return (0.5, 1.0), (2.0 + n,)
+
+
+class TestOneStopRule:
+    """Every sum stops at the rounding level, so an LHS at the edge of its
+    disc keeps every digit its terms allow."""
+
+    # id: (its n values, the pFq its LHS sums as (upper, lower) for n, and
+    # the factor before it)
+    SERIES = {
+        "I01": ((None,), lambda n: ((0.5, 1.0), (2.0,)), None),
+        "I02": (range(6), lambda n: ((0.5 + n, 1.0 + n), (2.0 + n,)), None),
+        "I03": (range(6), lambda n: ((1.0 + 2 * n, 1.5 + n), (3.0 + 2 * n,)), None),
+        "I04": (range(6), lambda n: ((1.0 + n, 0.5 + n), (2.0 + n,)),
+                lambda n, t: t ** (n + 1) / (n + 1)),
+        "I05": (range(6), lambda n: ((0.5 + n, 1.0 + n), (2.0 + n,)), None),
+        "I07": (range(6), _gauss_series, None),
+        "I08": (range(6), _gauss_series, None),
+        "I09": (range(6), _gauss_series, None),
+        "I13": ((None,), lambda n: ((1.0 / 3.0, 2.0 / 3.0), (1.5,)), None),
+        "K01": (range(1, 6), lambda n: ((float(n),), (1.0 + n,)), None),
+    }
+
+    @pytest.mark.parametrize("identity_id", sorted(SERIES))
+    def test_lhs_at_the_edge_vs_mpmath(self, identity_id):
+        mpmath = pytest.importorskip("mpmath")
+        desc = get_identity(identity_id)
+        ns, series, factor = self.SERIES[identity_id]
+        checked = 0
+        for n in ns:
+            upper, lower = series(n)
+            for k in range(12):
+                t = 0.92 * cmath.exp(1j * math.pi * k / 6.0)
+                res = specfun.hyp_pfq(upper, lower, t)
+                if res.largest > 10.0 * abs(res.value):
+                    continue  # the terms cancel: rounding costs digits on any rule
+                with mpmath.workdps(30):
+                    ref = complex(mpmath.hyper(upper, lower, t) * (factor(n, mpmath.mpc(t))
+                                                                   if factor else 1))
+                params = {desc.domain.var: t}
+                if n is not None:
+                    params["n"] = n
+                value = desc.lhs(**params)
+                assert abs(value - ref) <= 5e-15 * abs(ref), (n, t, value, ref)
+                checked += 1
+        assert checked >= 4 * len(ns)  # of 12 phases per n

@@ -238,6 +238,27 @@ class TestBracketClosedForms:
         assert abs(j2_closed_form(n, p, x) - ref) <= 1e-12 * abs(ref)
 
 
+class TestClosedFormEntry:
+    """Called directly, outside their hypotheses, the closed forms refuse
+    with DomainError instead of a bare exception or nan."""
+
+    @pytest.mark.parametrize("fn,args", [
+        # a ValueError from factorial(-339), and nan+nanj
+        (j1_closed_form, (-339, 8e141 - 5.2e141j, 9.6e188 + 1.4e189j)),
+        (j1_closed_form, (149, -1.1e192 - 3.5e191j, 1.4e-298 + 4.9e-299j)),
+        (j1_closed_form, (2.0, 1.0, 0.5)),  # n not an int
+        (j1_closed_form, (171, 1.0, 0.5)),  # 171! is not a double
+        (j1_closed_form, (0, math.inf, 0.5)),
+        (j1_closed_form, (0, 1.0, -1.0)),  # x = -s
+        (j2_closed_form, (0, 1.0, 1.0)),  # n >= 1
+        (j2_closed_form, (2, 1.0, complex(math.nan, 0.0))),
+        (j2_closed_form, (400, 1.0, 0.5)),
+    ])
+    def test_refused(self, fn, args):
+        with pytest.raises(DomainError):
+            fn(*args)
+
+
 class TestJ3:
     @pytest.mark.parametrize("p,x", [(1.0, 1.0), (2.0, 0.5)])
     def test_admissible_points(self, p, x):

@@ -8,7 +8,6 @@ from random import Random
 import pytest
 
 from trihyp import specfun
-from trihyp.cli import _CLI_CONTROL
 from trihyp.errors import BudgetError, DomainError
 from trihyp.specfun import (
     SeriesControl,
@@ -30,10 +29,10 @@ CASES = [
     (False, (-3, 1.5), (2.5,), 4.0, None),
     (False, (0.5, 0.5, 0.5), (3.0, 3.0), 1.0, None),
     (False, (), (1.5,), -20.0, None),
-    (False, (0.5,), (1.5,), -30.0, _CLI_CONTROL),
+    (False, (0.5,), (1.5,), -30.0, None),
     (True, (0.5, 1.0), (-3.0,), 0.4, None),
     (True, (1.5,), (-2.0,), 2.0 - 1.0j, None),
-    (True, (1.5, -0.5), (0.7,), 0.3, _CLI_CONTROL),
+    (True, (1.5, -0.5), (0.7,), 0.3, None),
 ]
 
 
@@ -79,9 +78,9 @@ class TestRatioTable:
         assert res.converged and res.terms_used > 500
         assert held() <= 500
 
-    def test_one_cli_sum_fits_the_bound(self):
-        # the CLI's budget is 100 000 terms: one sum of it fits in the table
-        assert specfun._SERIES_LIMIT > _CLI_CONTROL.max_terms
+    def test_one_sum_fits_the_bound(self):
+        # the default budget is 100 000 terms: one sum of it fits in the table
+        assert specfun._SERIES_LIMIT > SeriesControl().max_terms
 
 
 def largest_term(upper, lower, z, terms, k0=0, t0=1.0):
@@ -109,7 +108,7 @@ class TestLargestTerm:
     def test_cancellation_shows(self):
         # 1F1(0.5; 0.5; -40) = e^-40 ~ 4e-18, summed from terms (-40)^k/k! of
         # up to 40^40/40! ~ 1.5e16: the sum keeps none of its digits
-        res = hyp_pfq((0.5,), (0.5,), -40.0, _CLI_CONTROL)
+        res = hyp_pfq((0.5,), (0.5,), -40.0)
         assert res.largest == pytest.approx(40.0**40 / math.factorial(40), rel=1e-12)
         assert res.largest > 1e15 * abs(res.value)
 
@@ -120,9 +119,9 @@ class TestLargestTerm:
 
 class TestRealCarrier:
     def check_vs_mpmath(self, mpmath, upper, lower, z):
-        # a stop rule this fine leaves the rounding of the float carrier as
-        # the error (the default one truncates near 1e-12 at |z| = 0.9)
-        res = hyp_pfq(upper, lower, z, SeriesControl(rel_tol=1e-16))
+        # the stop rule at the rounding level leaves the rounding of the
+        # float carrier as the error
+        res = hyp_pfq(upper, lower, z)
         assert res.value.imag == 0.0
         with mpmath.workdps(40):
             ref = float(mpmath.hyper(upper, lower, z))
