@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .errors import BudgetError, DivergenceError, DomainError, TrihypError
 from .specfun import (
-    SeriesControl,
     SeriesResult,
     bell_polynomial,
     gamma,

@@ -759,12 +759,15 @@ _register(
 
 _register(
     id="J2",
+    # the p = 0 branch's exp-sinh rule converges on real x from 10^-14.25
+    # (measured at n = 1..40 and 50..171 in steps of 1/4 decade) up to
+    # 10^14.25 (n = 16 and 20); each bound keeps 1.25 decades in hand
     domain=Hypotheses(
         (ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
         "1 <= n <= 171; Re p > 0, Re(p + x) > 0 and |x| <= 1e16 n^-9 min(Re p, Re(p + x)), "
-        "or p = 0 (algebraic tail) with Re x > 0 and |x| <= 1e13",
+        "or p = 0 (algebraic tail) with Re x > 0 and 1e-13 <= |x| <= 1e13",
         lambda n, p, x: 1 <= n <= 171
-        and (x.real > 0 and abs(x) <= 1e13 if p == 0
+        and (x.real > 0 and 1e-13 <= abs(x) <= 1e13 if p == 0
              else p.real > 0 and (p + x).real > 0 and _resolved(n, x, min(p.real, (p + x).real))),
     ),
     lhs=quad.j2_integral,

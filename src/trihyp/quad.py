@@ -25,6 +25,7 @@ from .specfun import (
     gamma,
     hyp_pfq,
     lower_incomplete_gamma,
+    lower_incomplete_gamma_over_power,
     parabolic_cylinder_d,
     pochhammer,
 )
@@ -288,17 +289,17 @@ def j1_closed_form(n: int, s, x) -> complex:
 
 
 def j2_integral(n: int, p, x, tol) -> complex:
-    """int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt; p = 0 is the algebraic-tail branch."""
+    """int_0^inf e^(-pt) t^(-1/2-n) gamma(n, xt) dt; p = 0 is the algebraic-tail
+    branch.  Integrated as x^n int_0^inf e^(-pt) t^(-1/2) gamma*(n, xt) dt with
+    gamma*(n, z) = gamma(n, z) / z^n, so that neither t^(-1/2-n) nor
+    gamma(n, xt) is formed and no node leaves the double range at small |x|;
+    a value past the double range raises :class:`DomainError`."""
 
     def f(t: float) -> complex:
-        try:
-            return cmath.exp(-p * t) * t ** (-0.5 - n) * lower_incomplete_gamma(n, x * t)
-        except OverflowError:
-            # t^(-1/2-n) overflows only at nodes t < 10^(-308/(n+1/2)), where
-            # gamma(n, xt) = (xt)^n / n to about 10^(-308/(n+1/2)) |x|
-            return cmath.exp(-p * t) * t**-0.5 * _pow(x, n) / n
+        return cmath.exp(-p * t) * t**-0.5 * lower_incomplete_gamma_over_power(n, x * t)
 
-    return _quadrature(f, -0.5, 0.0 if p == 0 else min(p.real, (p + x).real), tol)
+    decay = 0.0 if p == 0 else min(p.real, (p + x).real)
+    return _finite(_pow(x, n) * _quadrature(f, -0.5, decay, tol), f"j2_integral({n}, {p}, {x})")
 
 
 def j2_closed_form(n: int, p, x) -> complex:
@@ -327,10 +328,13 @@ def j2_closed_form(n: int, p, x) -> complex:
 
 
 def j3_integral(p, x, tol) -> complex:
-    """int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt for real x > 0.
+    """int_0^inf e^(-pt) t^(-5/6) D_(1/3)(-sqrt(2xt)) dt for real x >= 0;
+    any other ``x`` raises :class:`DomainError`.
 
     The catalog's J3 domain, 0 < x <= 5 Re p / 3, keeps the cylinder
     function's argument within -sqrt(1000) over the first window."""
+    if x.imag != 0.0 or not x.real >= 0.0:
+        raise DomainError(f"j3_integral needs real x >= 0, got {x}")
     decay = (2.0 * p - x).real / 2.0
 
     def f(t: float) -> complex:

@@ -17,10 +17,12 @@ its index alone, so no value depends on the table's state.  The same
 loop sums the elementary brackets ``1 - (truncated binomial series)``
 of the identity catalog through :func:`binomial_remainder`, and the
 series of the lower incomplete gamma; it is the one loop that sums a
-convergent series.  It has one stop rule, the default
-:class:`SeriesControl`: a sum ends once three successive terms are at or
-below 2^-52 (about 2.2e-16) of the partial sum, so every caller sums the
-same series to the same value.
+convergent series.  It has one stop rule, which no caller sets: a sum
+ends once three successive terms are at or below 2^-52 (about 2.2e-16)
+of the partial sum, and raises :class:`BudgetError` where it has not
+within 100 000 terms, so every caller sums the same series to the same
+value.  A p = q+1 sum at z = 1 holds its tail bound, as well as its last
+term, to the same level.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import NamedTuple, Sequence
 from .errors import BudgetError, DivergenceError, DomainError
 
 __all__ = [
-    "SeriesControl",
     "SeriesResult",
     "pochhammer",
     "gamma",
@@ -260,36 +261,6 @@ def pochhammer(a, k: int) -> complex:
 # --------------------------------------------------------------------------
 
 
-class _SeriesControlFields(NamedTuple):
-    rel_tol: float = 2.0**-52
-    max_terms: int = 100_000
-    consecutive_small: int = 3
-
-
-class SeriesControl(_SeriesControlFields):
-    """Truncation policy for the hypergeometric series evaluators.
-
-    Summation stops once ``consecutive_small`` successive terms fall
-    at or below ``rel_tol`` times the running partial sum.  The default,
-    which every sum of the package uses, is the rounding level: three
-    terms in a row at or below 2^-52 (about 2.2e-16) of the partial sum,
-    within 100 000 terms.  A caller may pass another control for a
-    different budget.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if self.consecutive_small < 1:
-            raise DomainError("consecutive_small must be >= 1")
-        return self
-
-
 class SeriesResult(NamedTuple):
     """A series value.  ``converged`` is False only on the partial result
     a :class:`BudgetError` carries as ``best``.  ``largest`` is the
@@ -304,8 +275,12 @@ class SeriesResult(NamedTuple):
     largest: float = 0.0
 
 
-# the one stop rule: every sum of the package stops at the rounding level
-_DEFAULT_CONTROL = SeriesControl()
+# The one stop rule: a sum ends once _STOP_RUN successive terms are at or
+# below _ROUNDING (2^-52) of the partial sum, and raises BudgetError where it
+# has not within _MAX_TERMS terms.  No caller sets it.
+_ROUNDING = 2.0**-52
+_STOP_RUN = 3
+_MAX_TERMS = 100_000
 
 # a sum whose largest term exceeds it more than this many times has lost
 # more than 8 of its digits to cancellation
@@ -330,9 +305,10 @@ class _Series:
     """One (upper, lower) parameter pair as callers give it: the parameters
     as complex numbers, the facts the route choice reads, and the table of
     term ratios r_k = prod(a+k) / ((k+1) prod(b+k)) from ``start_k`` on,
-    grown as sums need it."""
+    grown as sums need it, and ``unit_tail``, the factor of the tail bound
+    of its sum at z = 1 (0.0 where it has none)."""
 
-    __slots__ = ("upper", "lower", "poles", "terminating", "start_k", "ratios")
+    __slots__ = ("upper", "lower", "poles", "terminating", "start_k", "unit_tail", "ratios")
 
     def __init__(self, upper, lower):
         self.upper = tuple(complex(a) for a in upper)
@@ -344,6 +320,12 @@ class _Series:
         self.terminating = any(is_nonpositive_integer(a) for a in self.upper)
         # the first index past every lower-parameter pole
         self.start_k = 1 - int(min(b.real for b in self.poles)) if self.poles else 0
+        # at z = 1 a non-terminating p = q+1 series with margin Re(sum b - sum a)
+        # above 1 falls like k^(-1-margin), so its tail after N terms is about
+        # |t_N| N / (margin - 1), the integral comparison
+        margin = sum(b.real for b in self.lower) - sum(a.real for a in self.upper)
+        unit = len(self.upper) == len(self.lower) + 1 and not self.terminating
+        self.unit_tail = 1.0 / (margin - 1.0) if unit and margin > 1.0 else 0.0
         self.ratios = []
 
     def ratios_for(self, stop):
@@ -378,7 +360,7 @@ class _Series:
 # per parameter (the root series of degree n has about 2n parameters).  Each
 # ratio is computed from the parameters and its index alone, so no result
 # depends on what is held.
-_SERIES_LIMIT = 1 << 17  # above the default 100 000-term budget; ~5 MB when full
+_SERIES_LIMIT = 1 << 17  # above the 100 000-term budget (_MAX_TERMS); ~5 MB when full
 _ENTRY_SIZE = 16
 _series_cache: dict = {}
 _series_held = 0
@@ -417,16 +399,19 @@ def _unconverged(upper, lower, terms, total, term, largest, why=""):
     )
 
 
-def _sum_series(upper, lower, z, ctrl=_DEFAULT_CONTROL, start_term=None):
+def _sum_series(upper, lower, z, start_term=None):
     """Raw term-recurrence summation of sum_k t_k with t_{k+1} = t_k r_k z,
     r_k = prod(a+k) / ((k+1) prod(b+k)), the ratios taken from the table
-    of (upper, lower) that every call shares.
+    of (upper, lower) that every call shares, to the one stop rule.
 
     The loop runs on floats while every operand is real and on complex
     numbers otherwise.  The sum starts at k = 0 with t_0 = 1, or with
     t_0 = ``start_term`` where one is given: the scale (c)_k0/k0! of a
     binomial remainder, or, where a lower parameter is a nonpositive
-    integer, the regularized term past every such pole.  No convergence
+    integer, the regularized term past every such pole.  At z = 1 a
+    series with a tail bound (see :class:`_Series`) holds that bound
+    |t_N| N / (margin - 1), with N the terms summed, to the stop rule as
+    well as |t_N|, and returns it as ``est_error``.  No convergence
     prechecks happen here; a sum that misses the stop rule within the
     term budget or leaves the double range raises :class:`BudgetError`
     with the partial sum as ``best``, and a product of lower-parameter
@@ -440,23 +425,25 @@ def _sum_series(upper, lower, z, ctrl=_DEFAULT_CONTROL, start_term=None):
     total = term
     small = 0
     n = 0  # terms summed
-    rel_tol, needed, budget = ctrl.rel_tol, ctrl.consecutive_small, ctrl.max_terms
+    tail = series.unit_tail if z == 1 else 0.0
+    rel_tol, needed = _ROUNDING, _STOP_RUN  # read per term, so kept local
     try:
         largest = abs(term)
-        while n < budget:
-            ratios = series.ratios_for(min(budget, 2 * n + 16))
+        while n < _MAX_TERMS:
+            ratios = series.ratios_for(min(_MAX_TERMS, 2 * n + 16))
             if len(ratios) <= n:
                 raise DomainError(
                     f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
                     f"underflow to 0 at term {series.start_k + n + 1} "
                     "(a lower parameter within underflow of a pole)"
                 )
-            for r in islice(ratios, n, budget):
+            for r in islice(ratios, n, _MAX_TERMS):
                 term = term * r * z
                 total += term
                 n += 1
                 size = abs(term)
-                if size <= rel_tol * abs(total):
+                # a small term ends the sum only where its tail bound is small too
+                if size <= rel_tol * abs(total) and size * n * tail <= rel_tol * abs(total):
                     small += 1
                     if small >= needed:
                         break
@@ -467,7 +454,8 @@ def _sum_series(upper, lower, z, ctrl=_DEFAULT_CONTROL, start_term=None):
             if not cmath.isfinite(total):  # an infinite sum meets the stop rule too
                 raise _unconverged(upper, lower, n, total, term, largest, _OUT_OF_RANGE)
             if small >= needed:
-                return SeriesResult(complex(total), n, True, size, largest)
+                est = size * n * tail if tail else size
+                return SeriesResult(complex(total), n, True, est, largest)
     except OverflowError:  # abs() of a complex term past the double range
         raise _unconverged(upper, lower, n, total, term, math.inf, _OUT_OF_RANGE) from None
     raise _unconverged(upper, lower, n, total, term, largest)
@@ -572,10 +560,16 @@ def _match_whipple(upper, lower):
     return None
 
 
-def _pfq_at_unit_argument(upper, lower, ctrl):
+def _pfq_at_unit_argument(upper, lower):
     """pFq(...; 1) for a non-terminating p = q+1 series: the Gauss or
-    Whipple formula, or, where Re(sum b - sum a) exceeds 2, the direct sum
-    with its integral-comparison tail as ``est_error``."""
+    Whipple formula, or, where Re(sum b - sum a) exceeds 2, the direct sum,
+    which stops once its integral-comparison tail |t_N| N / (margin - 1)
+    is at the rounding level of the sum.  That tail, the truncation bound
+    alone, is its ``est_error`` (2.2e-16 to 2.3e-16 on the three sums of
+    the tests, 3F2(0.3, 0.7, 1.1; 2.5, 3.1), 3F2(1/2, 1/2, 1/2; 3, 3) and
+    4F3(1, 1, 1, 1; 3, 3, 3), whose values are near 1); the rounding of
+    thousands of terms limits the value, 1.1e-14 to 7.8e-14 off 30-digit
+    mpmath on the same sums."""
     margin = sum(b.real for b in lower) - sum(a.real for a in upper)
     if len(upper) == 2:
         v = gauss_sum_2f1(upper[0], upper[1], lower[0])
@@ -588,25 +582,19 @@ def _pfq_at_unit_argument(upper, lower, ctrl):
     if margin <= 0:
         raise DivergenceError("pFq at z=1 diverges: Re(sum b - sum a) <= 0")
     if margin > 2.0:
-        # convergent like k^(-1-margin), so the tail after N terms is about
-        # |t_N| N / (margin - 1): stopping at |t_N| <= rel_tol (margin - 1)
-        # / max_terms keeps it within rel_tol for every N the budget allows
-        fine = ctrl._replace(rel_tol=ctrl.rel_tol * (margin - 1.0) / ctrl.max_terms)
-        res = _sum_series(upper, lower, 1.0 + 0.0j, fine)
-        return res._replace(est_error=res.est_error * res.terms_used / (margin - 1.0))
+        return _sum_series(upper, lower, 1.0)
     raise DomainError(
         "pFq at z=1: no summation formula applies and the series "
         "converges too slowly to evaluate"
     )
 
 
-def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
+def _pfq(upper, lower, z, regularized) -> SeriesResult:
     """The one route choice of :func:`hyp_pfq` and
     :func:`hyp_pfq_regularized`: z = 0, the regularized start past the
     lower-parameter poles, unit argument, or the direct series.  A
     non-finite parameter (met before its series is kept) or argument
     raises :class:`DomainError`."""
-    ctrl = control or _DEFAULT_CONTROL
     series = _series(upper, lower)
     upper, lower, poles, terminating = series.upper, series.lower, series.poles, series.terminating
     z = complex(z)
@@ -652,14 +640,14 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
                 )
         for b in lower:
             term *= rgamma(b + series.start_k)
-        return _sum_series(upper, lower, z, ctrl, start_term=term)
+        return _sum_series(upper, lower, z, start_term=term)
     scale = 1.0 + 0.0j
     if regularized:
         for b in lower:
             scale *= rgamma(b)
     if z == 0:
         return SeriesResult(scale, 0, True, 0.0)
-    res = _pfq_at_unit_argument(upper, lower, ctrl) if unit else _sum_series(upper, lower, z, ctrl)
+    res = _pfq_at_unit_argument(upper, lower) if unit else _sum_series(upper, lower, z)
     if regularized:
         size = abs(scale)
         res = SeriesResult(res.value * scale, res.terms_used, res.converged,
@@ -667,25 +655,21 @@ def _pfq(upper, lower, z, control, regularized) -> SeriesResult:
     return res
 
 
-def hyp_pfq(
-    upper: Sequence, lower: Sequence, z, control: SeriesControl | None = None
-) -> SeriesResult:
+def hyp_pfq(upper: Sequence, lower: Sequence, z) -> SeriesResult:
     """Generalized hypergeometric series pFq(upper; lower; z) by direct
     term recurrence.
 
     For p <= q the series is entire; for p = q+1 the argument must
     satisfy |z| < 1, except z = 1 which is routed through the Gauss or
-    Whipple summation formulas (divergent cases raise
-    :class:`DivergenceError`).  At z = 0 the value is exactly 1.  A
-    series that does not converge within the control's term budget
-    raises :class:`BudgetError`.
+    Whipple summation formulas or, where Re(sum b - sum a) exceeds 2, the
+    direct sum (divergent cases raise :class:`DivergenceError`).  At
+    z = 0 the value is exactly 1.  A series that does not meet the one
+    stop rule within 100 000 terms raises :class:`BudgetError`.
     """
-    return _pfq(upper, lower, z, control, regularized=False)
+    return _pfq(upper, lower, z, regularized=False)
 
 
-def hyp_pfq_regularized(
-    upper: Sequence, lower: Sequence, z, control: SeriesControl | None = None
-) -> SeriesResult:
+def hyp_pfq_regularized(upper: Sequence, lower: Sequence, z) -> SeriesResult:
     """Regularized series: lower-parameter Pochhammers replaced by
     reciprocal gammas, entire in every parameter.
 
@@ -694,23 +678,23 @@ def hyp_pfq_regularized(
     past the offending indices.  Raises :class:`BudgetError` like
     :func:`hyp_pfq`.
     """
-    return _pfq(upper, lower, z, control, regularized=True)
+    return _pfq(upper, lower, z, regularized=True)
 
 
-def hyp0f1(b, z, control=None) -> complex:
-    return hyp_pfq((), (b,), z, control).value
+def hyp0f1(b, z) -> complex:
+    return hyp_pfq((), (b,), z).value
 
 
-def hyp1f1(a, b, z, control=None) -> complex:
-    return hyp_pfq((a,), (b,), z, control).value
+def hyp1f1(a, b, z) -> complex:
+    return hyp_pfq((a,), (b,), z).value
 
 
-def hyp2f1(a, b, c, z, control=None) -> complex:
-    return hyp_pfq((a, b), (c,), z, control).value
+def hyp2f1(a, b, c, z) -> complex:
+    return hyp_pfq((a, b), (c,), z).value
 
 
-def hyp3f2(a1, a2, a3, b1, b2, z, control=None) -> complex:
-    return hyp_pfq((a1, a2, a3), (b1, b2), z, control).value
+def hyp3f2(a1, a2, a3, b1, b2, z) -> complex:
+    return hyp_pfq((a1, a2, a3), (b1, b2), z).value
 
 
 # --------------------------------------------------------------------------
@@ -744,8 +728,9 @@ def _gamma_series(nu, z, over_power):
 
 def _exp_polynomial_gamma(nu, z, over_power):
     """(n-1)! (1 - e^(-z) e_{n-1}(z)) for integer nu = n, over z^n when
-    ``over_power``, with the size of its largest part and the modulus of
-    the sum, both over (n-1)!."""
+    ``over_power`` (in logs where z^n alone leaves the double range), with
+    the size of its largest part and the modulus of the sum, both over
+    (n-1)!."""
     n = int(nu.real)
     if n > 171:  # (n-1)! is not a double, and forming it would take ages at large n
         raise DomainError(f"(n-1)! leaves the double range at n = {n}")
@@ -757,7 +742,17 @@ def _exp_polynomial_gamma(nu, z, over_power):
         rest = 1.0 - decay * sum(terms)
         value, largest, total = (math.factorial(n - 1) * rest,
                                  1.0 + abs(decay) * sum(map(abs, terms)), abs(rest))
-    return (value / z**n if over_power else value), largest, total
+    if over_power:
+        try:
+            power = z**n
+        except OverflowError:
+            power = math.inf
+        # where z^n leaves the double range the quotient need not: it is formed in logs
+        if cmath.isfinite(power):
+            value /= power
+        elif value:
+            value = cmath.exp(cmath.log(value) - n * cmath.log(z))
+    return value, largest, total
 
 
 def _lower_gamma(nu, z, over_power) -> complex:
@@ -774,17 +769,18 @@ def _lower_gamma(nu, z, over_power) -> complex:
         raise DomainError("lower_incomplete_gamma needs Re nu > 0 (or integer nu >= 1)")
     if is_int and nu.real < 1:
         raise DomainError("integer order must satisfy nu >= 1")
-    if is_int and (z.real > max(30.0, 2.0 * nu.real) or abs(z) > 600):
-        forms = (_exp_polynomial_gamma,)  # saturated, or too large for the series
-    elif abs(z) > 600:
+    if abs(z) > 600 and not is_int:
         raise DomainError("argument too large for the series evaluation")
+    if is_int and (z.real > max(30.0, 2.0 * nu.real) or abs(z) > 600):
+        # saturated, or large: the series only where the polynomial's terms
+        # z^k leave the double range
+        forms = (_exp_polynomial_gamma, _gamma_series)
     else:
         forms = (_gamma_series, _exp_polynomial_gamma) if is_int else (_gamma_series,)
     for form in forms:
         try:
             value, largest, total = form(nu, z, over_power)
-        # z^nu (DomainError) or the terms (BudgetError: within |z| <= 600 they
-        # reach 0 well inside the budget) leave the double range
+        # z^nu (DomainError) or the terms (BudgetError) leave the double range
         except (OverflowError, DomainError, BudgetError):
             continue
         if largest <= _CANCELLATION_LIMIT * total and cmath.isfinite(value):
@@ -805,7 +801,9 @@ def lower_incomplete_gamma(nu, z) -> complex:
 
     Each form loses the digits its largest part exceeds its sum by: the
     series off the positive real axis at large |z|, the polynomial form
-    at |z| small against n.  The first form that keeps about 8 digits
+    at |z| small against n.  The polynomial form goes first for integer
+    nu where Re z exceeds max(30, 2n) or |z| exceeds 600, the series
+    first elsewhere.  The first form that keeps about 8 digits
     (ratio at most 1e8) and a finite value gives the result, otherwise
     :class:`DomainError` is raised (as at (0.3, 300i), (0.5, -500),
     (2, -800) or (1e-300, 150), where the series' terms overflow); so is

@@ -286,17 +286,25 @@ class TestOneStopRule:
         lhs = get_identity("I01").lhs(parse_complex(t))
         assert capsys.readouterr().out.strip() == format_value(lhs)
 
-    def test_the_package_builds_one_control(self):
-        # the default SeriesControl is the one stop rule of every sum
-        src = Path(sf.__file__).parent
-        built = [
-            (path.name, node.lineno)
-            for path in sorted(src.glob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SeriesControl"
-        ]
-        assert [name for name, _ in built] == ["specfun.py"]
-        assert sf.SeriesControl() == (2.0**-52, 100_000, 3)
+    def test_the_stop_rule_has_no_knob(self):
+        # the rule lives as constants in specfun: no class, parameter or
+        # argument of the package can set it
+        names, params, sum_series = [], [], None
+        for path in sorted(Path(sf.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names += [v for v in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None), getattr(node, "asname", None),
+                                      getattr(node, "value", None)) if isinstance(v, str)]
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    a = node.args
+                    given = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                    given += [x.arg for x in (a.vararg, a.kwarg) if x]
+                    params += [(path.name, getattr(node, "name", "lambda"), arg) for arg in given]
+                    if getattr(node, "name", None) == "_sum_series":
+                        sum_series = given
+        assert not [name for name in names if "SeriesControl" in name]
+        assert [p for p in params if p[2] in ("control", "ctrl")] == []
+        assert sum_series == ["upper", "lower", "z", "start_term"]
 
 
 class TestRootsCommand:
@@ -630,6 +638,8 @@ class TestIntegrateCommand:
         (["J2", "--n", "1", "--p", "1", "--x", "1e100"], 3),
         (["J2", "--n", "2", "--p", "0", "--x", "1e13"], 0),
         (["J2", "--n", "2", "--p", "0", "--x", "1e14"], 3),
+        (["J2", "--n", "2", "--p", "0", "--x", "1e-13"], 0),
+        (["J2", "--n", "2", "--p", "0", "--x", "1e-17"], 3),
     ])
     def test_scale_limit(self, args, code, capsys):
         # beyond it the quadrature once ran out of levels while the closed
@@ -640,6 +650,15 @@ class TestIntegrateCommand:
             assert captured.out.splitlines()[2].endswith("verdict = pass")
         else:
             assert captured.out == "" and "outside the supported domain" in captured.err
+
+    @pytest.mark.parametrize("n,x", [("10", "1e-25"), ("30", "1e-3")])
+    def test_j2_at_small_x(self, n, x, capsys):
+        # the integrand t^(-1/2-n) gamma(n, xt) once left the double range at
+        # the nodes and the quadrature gave no value; x^n t^(-1/2)
+        # gamma(n, xt)/(xt)^n stays in it
+        assert main(["integrate", "J2", "--n", n, "--p", "1", "--x", x]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] != "quadrature  = none" and out[2].endswith("verdict = pass")
 
     def test_side_without_value(self, capsys):
         # in the J1 domain, but the slowly damped oscillation exhausts the quadrature budget

@@ -2,16 +2,17 @@
 double range.
 
 Each public evaluator of ``specfun`` and ``roots``, and each closed form
-of ``quad``, gets its own seed and is called on arguments whose moduli are
-log-uniform from 1e-320 to 1e308, or, for a third of the draws, from 1 to
-1e3 (the moderate band, where most code paths branch), with random phases
-(a quarter of the draws real); an integer argument has a random sign and
-a log-uniform size up to 1e3 or, as often, up to 1e308.  Each call must return
-a finite value or raise a :class:`TrihypError` within 2 s.  Each command
-is run on such arguments as well, and must print finite values or one
-``error:`` line, with exit code 0 to 3.  The calls run in a subprocess
-with a timeout, so that a call that hangs fails its test and names
-itself.
+and integral of ``quad``, gets its own seed and is called on arguments
+whose moduli are log-uniform from 1e-320 to 1e308, or, for a third of the
+draws, from 1 to 1e3 (the moderate band, where most code paths branch),
+with random phases (a quarter of the draws real); an integer argument has
+a random sign and a log-uniform size up to 1e3 or, as often, up to 1e308;
+an integral's tolerance is log-uniform from 1e-10 to 1e-2.  Each call
+must return a finite value or raise a :class:`TrihypError` within 2 s.
+Each command is run on such arguments as well, and must print finite
+values or one ``error:`` line, with exit code 0 to 3.  The calls run in a
+subprocess with a timeout, so that a call that hangs fails its test and
+names itself.
 """
 
 import cmath
@@ -30,7 +31,8 @@ import trihyp
 SECONDS = 2.0  # the time bound of one call
 
 # argument kinds: c complex, i integer, C a list of two complex, P a tuple of
-# up to two complex, T a TrinomialInstance (integer degree, complex t)
+# up to two complex, T a TrinomialInstance (integer degree, complex t), t a
+# quadrature tolerance
 EVALUATORS = {
     "specfun.gamma": "c",
     "specfun.rgamma": "c",
@@ -64,8 +66,14 @@ EVALUATORS = {
     "quad.j1_closed_form": "icc",
     "quad.j2_closed_form": "icc",
     "quad.j3_closed_form": "cc",
+    "quad.laplace_integral": "PPccct",
+    "quad.j1_integral": "icct",
+    "quad.j2_integral": "icct",
+    "quad.j3_integral": "cct",
 }
 CALLS = 400  # per evaluator
+QUAD_CALLS = 60  # per integral, each a quadrature of up to thousands of evaluations
+COUNTS = {name: QUAD_CALLS if name.endswith("_integral") else CALLS for name in EVALUATORS}
 
 # The child draws the arguments from each name's own seed, calls, and writes
 # one JSON line per call as it ends: a call that hangs is the one after the
@@ -90,6 +98,8 @@ def draw(rng, kind):
         return [draw(rng, "c"), draw(rng, "c")]
     if kind == "P":
         return tuple(draw(rng, "c") for _ in range(rng.randint(0, 2)))
+    if kind == "t":
+        return 10.0 ** rng.uniform(-10.0, -2.0)
     return roots.TrinomialInstance(abs(draw(rng, "i")) + 1, draw(rng, "c"))
 
 def finite(v):
@@ -139,23 +149,23 @@ def _run_child(code, payload, timeout, cwd=None):
 @pytest.fixture(scope="module")
 def evaluator_calls():
     """{name: [(args, outcome, seconds)]} of every evaluator's calls."""
-    payload = [[name, kinds, CALLS] for name, kinds in EVALUATORS.items()]
+    payload = [[name, kinds, COUNTS[name]] for name, kinds in EVALUATORS.items()]
     lines, hung = _run_child(_CHILD, payload, 120)
     calls = {name: [] for name in EVALUATORS}
     for name, args, outcome, seconds in lines:
         calls[name].append((args, outcome, seconds))
     if hung is not None:
-        name = payload[hung // CALLS][0]
-        calls[name].append(("call %d" % (hung % CALLS), "did not return", math.inf))
+        name = next(name for name in EVALUATORS if len(calls[name]) < COUNTS[name])
+        calls[name].append(("call %d" % len(calls[name]), "did not return", math.inf))
     return calls
 
 
 @pytest.mark.parametrize("name", list(EVALUATORS))
 def test_evaluator_gives_a_finite_value_or_an_error(name, evaluator_calls):
     calls = evaluator_calls[name]
-    assert len(calls) >= CALLS, f"{name} was not run to the end"
+    assert len(calls) >= COUNTS[name], f"{name} was not run to the end"
     bad = [(args, outcome) for args, outcome, _ in calls if outcome not in ("ok", "trihyp")]
-    assert bad == [], f"{len(bad)} of {CALLS}: {bad[:3]}"
+    assert bad == [], f"{len(bad)} of {COUNTS[name]}: {bad[:3]}"
     assert [(args, s) for args, _, s in calls if s >= SECONDS] == []
 
 

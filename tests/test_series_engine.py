@@ -10,7 +10,6 @@ import pytest
 from trihyp import specfun
 from trihyp.errors import BudgetError, DomainError
 from trihyp.specfun import (
-    SeriesControl,
     hyp1f1,
     hyp2f1,
     hyp_pfq,
@@ -19,26 +18,26 @@ from trihyp.specfun import (
     rgamma,
 )
 
-# (regularized, upper, lower, z, control)
+# (regularized, upper, lower, z)
 CASES = [
-    (False, (-0.3,), (0.5,), 7.5, None),
-    (False, (-0.3,), (0.5,), 3.0 + 4.0j, None),
-    (False, (1.3,), (2.1,), 45.0, None),
-    (False, (0.5, 1.0), (2.0,), 0.6, None),
-    (False, (0.5 + 0.2j, 1.0), (2.0 - 0.1j,), -0.4 + 0.3j, None),
-    (False, (-3, 1.5), (2.5,), 4.0, None),
-    (False, (0.5, 0.5, 0.5), (3.0, 3.0), 1.0, None),
-    (False, (), (1.5,), -20.0, None),
-    (False, (0.5,), (1.5,), -30.0, None),
-    (True, (0.5, 1.0), (-3.0,), 0.4, None),
-    (True, (1.5,), (-2.0,), 2.0 - 1.0j, None),
-    (True, (1.5, -0.5), (0.7,), 0.3, None),
+    (False, (-0.3,), (0.5,), 7.5),
+    (False, (-0.3,), (0.5,), 3.0 + 4.0j),
+    (False, (1.3,), (2.1,), 45.0),
+    (False, (0.5, 1.0), (2.0,), 0.6),
+    (False, (0.5 + 0.2j, 1.0), (2.0 - 0.1j,), -0.4 + 0.3j),
+    (False, (-3, 1.5), (2.5,), 4.0),
+    (False, (0.5, 0.5, 0.5), (3.0, 3.0), 1.0),
+    (False, (), (1.5,), -20.0),
+    (False, (0.5,), (1.5,), -30.0),
+    (True, (0.5, 1.0), (-3.0,), 0.4),
+    (True, (1.5,), (-2.0,), 2.0 - 1.0j),
+    (True, (1.5, -0.5), (0.7,), 0.3),
 ]
 
 
 def evaluate(case):
-    regularized, upper, lower, z, control = case
-    return (hyp_pfq_regularized if regularized else hyp_pfq)(upper, lower, z, control)
+    regularized, upper, lower, z = case
+    return (hyp_pfq_regularized if regularized else hyp_pfq)(upper, lower, z)
 
 
 @pytest.fixture
@@ -74,13 +73,13 @@ class TestRatioTable:
             hyp1f1(rng.uniform(-2, 2), rng.uniform(0.5, 3), rng.uniform(-20, 20))
             assert held() <= 500
         # one sum longer than the bound is still summed in full
-        res = hyp_pfq((0.5, 1.0), (2.0,), 0.999, SeriesControl(max_terms=40_000))
+        res = hyp_pfq((0.5, 1.0), (2.0,), 0.999)
         assert res.converged and res.terms_used > 500
         assert held() <= 500
 
     def test_one_sum_fits_the_bound(self):
-        # the default budget is 100 000 terms: one sum of it fits in the table
-        assert specfun._SERIES_LIMIT > SeriesControl().max_terms
+        # the budget is 100 000 terms: one sum of it fits in the table
+        assert specfun._SERIES_LIMIT > specfun._MAX_TERMS == 100_000
 
 
 def largest_term(upper, lower, z, terms, k0=0, t0=1.0):
@@ -95,7 +94,7 @@ def largest_term(upper, lower, z, terms, k0=0, t0=1.0):
 class TestLargestTerm:
     def test_matches_the_terms(self):
         for case in CASES:
-            regularized, upper, lower, z, _ = case
+            regularized, upper, lower, z = case
             res = evaluate(case)
             # past every lower-parameter pole, where a regularized sum starts
             k0 = max((1 - int(b) for b in lower if specfun.is_nonpositive_integer(b)), default=0)
@@ -162,16 +161,17 @@ class TestOutOfRange:
         with pytest.raises(BudgetError, match="double range") as err:
             hyp_pfq(upper, lower, z)
         best = err.value.best
-        assert not best.converged and 0 < best.terms_used < SeriesControl().max_terms
+        assert not best.converged and 0 < best.terms_used < specfun._MAX_TERMS
         assert f"did not converge in {best.terms_used} terms" in str(err.value)
 
     def test_underflow_only_where_the_sum_reaches_it(self):
-        # b = -3 + 1e-300i is no pole, but the factor product of (b + 3)^2
-        # underflows to 0 at k = 3, that is at term 4
-        b = complex(-3.0, 1e-300)
-        with pytest.raises(DomainError, match="underflow to 0 at term 4"):
+        # b = -5 + 1e-300i is no pole, but the factor product of (b + 5)^2
+        # underflows to 0 at k = 5, that is at term 6
+        b = complex(-5.0, 1e-300)
+        with pytest.raises(DomainError, match="underflow to 0 at term 6"):
             hyp_pfq((1,), (b, b), 0.5)
-        # a terminating sum that stops at term 2 never reaches it
-        res = hyp_pfq((-1,), (b, b), 0.5, SeriesControl(consecutive_small=1))
-        assert res.converged and res.terms_used == 2
-        assert abs(res.value - (1.0 - 0.5 / 9.0)) < 1e-15
+        # a terminating sum, whose terms are exactly 0 from term 2, meets the
+        # stop rule at term 4 and never reaches it
+        res = hyp_pfq((-1,), (b, b), 0.5)
+        assert res.converged and res.terms_used == 4
+        assert abs(res.value - (1.0 - 0.5 / 25.0)) < 1e-15

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from trihyp import specfun
 from trihyp.errors import BudgetError, DivergenceError, DomainError, TrihypError
 from trihyp.specfun import (
-    SeriesControl,
     _sum_series,
     bell_polynomial,
     binomial_remainder,
@@ -38,6 +38,14 @@ SQRT_PI = math.sqrt(math.pi)
 
 def rel(a, b):
     return abs(a - b) / max(abs(b), 2.0**-1022)
+
+
+@lru_cache
+def _hyper_at_one(upper, lower):
+    """pFq(upper; lower; 1) by mpmath at 30 digits (seconds each, so kept)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return complex(mpmath.hyper(upper, lower, 1))
 
 
 class TestPochhammer:
@@ -383,13 +391,6 @@ class TestHypPfq:
         with pytest.raises(DomainError, match="underflow"):
             hyp_pfq((), lower, z)
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"rel_tol": 0.0}, {"rel_tol": 1.0}, {"max_terms": 0}, {"consecutive_small": 0}]
-    )
-    def test_invalid_control(self, kwargs):
-        with pytest.raises(DomainError):
-            SeriesControl(**kwargs)
-
     def test_terminating_series_any_argument(self):
         # upper parameter -3 makes the series a cubic polynomial
         v = hyp2f1(-3, 1.5, 2.5, 4.0)
@@ -416,15 +417,17 @@ class TestHypPfq:
         assert not err.value.best.converged
 
     def test_nonconvergence_flagged(self):
-        with pytest.raises(BudgetError, match="2F1 series did not converge in 50 terms") as err:
-            hyp_pfq((0.5, 1.0), (2.0,), 0.999, SeriesControl(rel_tol=1e-13, max_terms=50))
-        assert not err.value.best.converged and err.value.best.terms_used == 50
+        # terms near 0.99999^k k^-1.5, still about 1e-8 at the budget's end
+        with pytest.raises(BudgetError, match="2F1 series did not converge in 100000 terms") as err:
+            hyp_pfq((0.5, 1.0), (2.0,), 0.99999)
+        assert not err.value.best.converged and err.value.best.terms_used == 100_000
 
     def test_unit_argument_budget_raises(self):
         # margin 3 > 2 takes the direct sum at z = 1, whose terms fall like
-        # k^-3: 30 terms leave a tail near 1e-4, far above the tolerance
-        with pytest.raises(BudgetError, match="3F2 series did not converge") as err:
-            hyp_pfq((1, 1, 1), (2, 4), 1.0, SeriesControl(max_terms=30))
+        # 6 k^-4: its tail bound 3 N^-3 reaches the rounding level only
+        # past N = 2e5 terms, twice the budget
+        with pytest.raises(BudgetError, match="3F2 series did not converge in 100000") as err:
+            hyp_pfq((1, 1, 1), (2, 4), 1.0)
         assert not err.value.best.converged
 
     @pytest.mark.parametrize(
@@ -434,13 +437,26 @@ class TestHypPfq:
     def test_unit_argument_direct_sum_vs_mpmath(self, upper, lower):
         # margin > 2 without a summation formula: the direct sum stops early
         # enough that its integral-comparison tail is within rel_tol
-        mpmath = pytest.importorskip("mpmath")
         res = hyp_pfq(upper, lower, 1.0)
-        with mpmath.workdps(30):
-            ref = complex(mpmath.hyper(upper, lower, 1))
+        ref = _hyper_at_one(upper, lower)
         assert res.converged and res.terms_used > 0
         assert abs(res.value - ref) <= 1e-13 * abs(ref)
         assert res.est_error <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "upper,lower,terms_before",
+        [((0.5, 0.5, 0.5), (3, 3), 4256), ((0.3, 0.7, 1.1), (2.5, 3.1), 29_861),
+         ((1, 1, 1, 1), (3, 3, 3), 3087)],
+    )
+    def test_unit_argument_direct_sum_stops_at_its_tail_bound(self, upper, lower, terms_before):
+        # the sum stops once its tail bound |t_N| N / (margin - 1), with N the
+        # terms reached, is at the rounding level of the sum; a threshold
+        # divided by the whole 100 000-term budget took terms_before terms
+        res = hyp_pfq(upper, lower, 1.0)
+        ref = _hyper_at_one(upper, lower)
+        assert res.converged and res.terms_used < terms_before
+        assert abs(res.value - ref) <= 1e-13 * abs(ref)
+        assert res.est_error <= 2.0**-52 * abs(res.value)
 
     def test_gauss_summation_check(self):
         # routing at z = 1 against the gamma-ratio formula written out here
@@ -457,12 +473,11 @@ class TestHypPfq:
         # genuine differential check: raw summation converges when the
         # margin is comfortably above 3
         rng = Random(55)
-        ctrl = SeriesControl(rel_tol=1e-15, max_terms=6000, consecutive_small=3)
         for _ in range(5):
             a = rng.uniform(0.2, 1.2)
             b = rng.uniform(0.2, 1.2)
             c = a + b + rng.uniform(3.2, 4.5)
-            raw = _sum_series((a, b), (c,), 1.0 + 0.0j, ctrl).value
+            raw = _sum_series((a, b), (c,), 1.0 + 0.0j).value
             assert rel(raw, gauss_sum_2f1(a, b, c)) < 1e-9
 
     @pytest.mark.parametrize("fn,args", [
@@ -476,14 +491,13 @@ class TestHypPfq:
 
     def test_whipple_vs_raw_series(self):
         rng = Random(56)
-        ctrl = SeriesControl(rel_tol=1e-15, max_terms=6000, consecutive_small=3)
         for _ in range(20):
             a = rng.uniform(0.2, 1.5)
             d = rng.uniform(a - 0.5, 2.2)
             c = rng.uniform(3.2, 5.0)
             upper = (a, 1.0 - a, c)
             lower = (d, 2.0 * c - d + 1.0)
-            raw = _sum_series(upper, lower, 1.0 + 0.0j, ctrl).value
+            raw = _sum_series(upper, lower, 1.0 + 0.0j).value
             assert rel(raw, whipple_sum_3f2(a, c, d)) < 1e-8
 
     def test_derivative_contract(self):
@@ -639,6 +653,16 @@ class TestIncompleteGamma:
         # the exponential-polynomial form serves (4, 45) and (1, -50)
         assert rel(lower_incomplete_gamma_over_power(nu, z),
                    lower_incomplete_gamma(nu, z) / complex(z) ** nu) < 1e-14
+
+    @pytest.mark.parametrize("n,z", [(40, 1e8), (171, 1000.0), (130, 617.0), (171, 358.6)])
+    def test_over_power_where_the_power_overflows(self, n, z):
+        # z^n leaves the double range, gamma(n, z)/z^n does not: the quotient
+        # is formed in logs (the first two), and where the polynomial form's
+        # terms z^k overflow the series serves (the last two)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(n, 0, z) / mpmath.mpf(z) ** n)
+        assert rel(lower_incomplete_gamma_over_power(n, z), ref) < 1e-12
 
     @pytest.mark.parametrize("z", [0.0, 1e-320, -1e-200, 1e-70j, 1e-20 - 1e-20j])
     def test_over_power_at_tiny_argument(self, z):
