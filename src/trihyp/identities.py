@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from functools import lru_cache
 from random import Random
 from typing import Callable, Mapping, NamedTuple
 
@@ -334,24 +335,18 @@ def _rhs_i17(z):
     )
 
 
-_I18_LAST = [None, None, None]  # n, t and the sides of the last I18 point
-
-
+@lru_cache(maxsize=1)
 def _i18_sides(n, t):
     """Worst-disagreeing pair among the equivalent elementary forms
     (I02 vs I05; I07 vs I08; I07 vs I09).
 
     The LHS and RHS of a point each ask for the pair: the five forms are
-    worked out once, for the last point alone (the same ``t`` object, so
-    that +0 and -0 are told apart).
+    worked out once, kept for the last (n, t) alone.  A t and its
+    signed-zero twins are one key; their sides are the same.
     """
-    if _I18_LAST[0] == n and _I18_LAST[1] is t:
-        return _I18_LAST[2]
     i02, i05, i07 = _rhs_i02(n, t), _rhs_i05(n, t), _rhs_i07(n, t)
     pairs = ((i02, i05), (i07, _rhs_i08(n, t)), (i07, _rhs_i09(n, t)))
-    sides = max(pairs, key=lambda p: abs(p[0] - p[1]) / max(abs(p[0]), sys.float_info.min))
-    _I18_LAST[:] = n, t, sides
-    return sides
+    return max(pairs, key=lambda p: abs(p[0] - p[1]) / max(abs(p[0]), sys.float_info.min))
 
 
 def _rhs_k01(n, z):

@@ -11,17 +11,19 @@ Every function takes and returns the built-in ``complex``; real inputs
 are accepted anywhere and promoted.  Inside, the series loop carries a
 ``float`` while every operand is real (the same bits as ``complex``
 arithmetic on them, at about half the cost) and a ``complex`` otherwise.
-Its term ratios are kept per parameter pair in a table of bounded size
-that every call shares; each ratio is computed from the parameters and
-its index alone, so no value depends on the table's state.  The same
-loop sums the elementary brackets ``1 - (truncated binomial series)``
-of the identity catalog through :func:`binomial_remainder`, and the
-series of the lower incomplete gamma; it is the one loop that sums a
-convergent series.  It has one stop rule, which no caller sets: a sum
-ends once three successive terms are at or below 2^-52 (about 2.2e-16)
-of the partial sum, and raises :class:`BudgetError` where it has not
-within 100 000 terms, so every caller sums the same series to the same
-value.  A p = q+1 sum at z = 1 holds its tail bound, as well as its last
+Its term ratios come in blocks of 100 per parameter pair, kept in a
+``functools.lru_cache`` of 1311 blocks (131 100 ratios, so one sum of the
+whole budget is kept) that every call shares; each ratio is computed from
+the parameters and its index alone, so no value depends on what is kept.
+Every memo of the package is such a cache, of a constant size.  The same
+loop sums the elementary brackets ``1 - (truncated binomial series)`` of
+the identity catalog through :func:`binomial_remainder`, and the series
+of the lower incomplete gamma; it is the one loop that sums a convergent
+series.  It has one stop rule, which no caller sets: a sum ends once
+three successive terms are at or below 2^-52 (about 2.2e-16) of the
+partial sum, and raises :class:`BudgetError` where it has not within
+100 000 terms, so every caller sums the same series to the same value.
+A p = q+1 sum at z = 1 holds its tail bound, as well as its last
 term, to the same level.
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from itertools import islice
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetError, DivergenceError, DomainError
@@ -303,12 +305,11 @@ def _narrow(v):
 
 class _Series:
     """One (upper, lower) parameter pair as callers give it: the parameters
-    as complex numbers, the facts the route choice reads, and the table of
-    term ratios r_k = prod(a+k) / ((k+1) prod(b+k)) from ``start_k`` on,
-    grown as sums need it, and ``unit_tail``, the factor of the tail bound
-    of its sum at z = 1 (0.0 where it has none)."""
+    as complex numbers, the facts the route choice and the ratios read, and
+    ``unit_tail``, the factor of the tail bound of its sum at z = 1 (0.0
+    where it has none)."""
 
-    __slots__ = ("upper", "lower", "poles", "terminating", "start_k", "unit_tail", "ratios")
+    __slots__ = ("upper", "lower", "poles", "terminating", "start_k", "unit_tail")
 
     def __init__(self, upper, lower):
         self.upper = tuple(complex(a) for a in upper)
@@ -326,61 +327,39 @@ class _Series:
         margin = sum(b.real for b in self.lower) - sum(a.real for a in self.upper)
         unit = len(self.upper) == len(self.lower) + 1 and not self.terminating
         self.unit_tail = 1.0 / (margin - 1.0) if unit and margin > 1.0 else 0.0
-        self.ratios = []
-
-    def ratios_for(self, stop):
-        """The ratio table, grown to hold at least the ratios of the first
-        ``stop`` terms (fewer where the lower-parameter factors underflow
-        to 0).  A grown table is a new list, so a sum never sees its table
-        change under it."""
-        have = len(self.ratios)
-        if have < stop:
-            upper, lower = self.upper, self.lower
-            if all(v.imag == 0.0 for v in upper + lower):
-                upper, lower = tuple(a.real for a in upper), tuple(b.real for b in lower)
-            fresh = []
-            try:
-                for j in range(self.start_k + have, self.start_k + stop):
-                    num = 1.0
-                    for a in upper:
-                        num *= a + j
-                    den = j + 1.0
-                    for b in lower:
-                        den *= b + j
-                    fresh.append(num / den)
-            except ZeroDivisionError:
-                pass
-            self.ratios = self.ratios + fresh
-            _hold(len(fresh))
-        return self.ratios
 
 
-# Every _Series made, by its (upper, lower) as given, and the size they hold
-# counted in ratios, an entry's own memory as _ENTRY_SIZE of them and two
-# per parameter (the root series of degree n has about 2n parameters).  Each
-# ratio is computed from the parameters and its index alone, so no result
-# depends on what is held.
-_SERIES_LIMIT = 1 << 17  # above the 100 000-term budget (_MAX_TERMS); ~5 MB when full
-_ENTRY_SIZE = 16
-_series_cache: dict = {}
-_series_held = 0
+# The _Series of the last 1024 pairs asked for, by (upper, lower) as given; a
+# non-finite parameter raises before anything is kept.
+_series = lru_cache(maxsize=1024)(_Series)
+
+_BLOCK = 100  # ratios per block; it divides _MAX_TERMS, so no sum runs past the budget
 
 
-def _hold(count):
-    global _series_held
-    _series_held += count
-    if _series_held > _SERIES_LIMIT:  # full: start over
-        _series_cache.clear()
-        _series_held = 0
-
-
-def _series(upper, lower) -> _Series:
-    key = (tuple(upper), tuple(lower))
-    entry = _series_cache.get(key)
-    if entry is None:
-        entry = _series_cache[key] = _Series(*key)
-        _hold(_ENTRY_SIZE + 2 * (len(entry.upper) + len(entry.lower)))
-    return entry
+@lru_cache(maxsize=1311)  # 131 100 ratios, above 2^17: one full-budget sum fits; ~5 MB
+def _ratios(series: _Series, block: int) -> tuple:
+    """Block ``block`` of the term ratios r_k = prod(a+k) / ((k+1) prod(b+k))
+    of ``series``: the _BLOCK of them from k = start_k + block _BLOCK on,
+    on floats where every parameter is real, and cut short where the
+    lower-parameter factors underflow to 0.  Each ratio is computed from the
+    parameters and its index alone, so no sum depends on what is kept."""
+    upper, lower = series.upper, series.lower
+    if all(v.imag == 0.0 for v in upper + lower):
+        upper, lower = tuple(a.real for a in upper), tuple(b.real for b in lower)
+    ratios = []
+    first = series.start_k + block * _BLOCK
+    try:
+        for j in range(first, first + _BLOCK):
+            num = 1.0
+            for a in upper:
+                num *= a + j
+            den = j + 1.0
+            for b in lower:
+                den *= b + j
+            ratios.append(num / den)
+    except ZeroDivisionError:
+        pass
+    return tuple(ratios)
 
 
 _OUT_OF_RANGE = ": its terms leave the double range"
@@ -401,8 +380,9 @@ def _unconverged(upper, lower, terms, total, term, largest, why=""):
 
 def _sum_series(upper, lower, z, start_term=None):
     """Raw term-recurrence summation of sum_k t_k with t_{k+1} = t_k r_k z,
-    r_k = prod(a+k) / ((k+1) prod(b+k)), the ratios taken from the table
-    of (upper, lower) that every call shares, to the one stop rule.
+    r_k = prod(a+k) / ((k+1) prod(b+k)), the ratios taken block by block
+    from the bounded cache of (upper, lower) that every call shares
+    (:func:`_ratios`), to the one stop rule.
 
     The loop runs on floats while every operand is real and on complex
     numbers otherwise.  The sum starts at k = 0 with t_0 = 1, or with
@@ -429,15 +409,9 @@ def _sum_series(upper, lower, z, start_term=None):
     rel_tol, needed = _ROUNDING, _STOP_RUN  # read per term, so kept local
     try:
         largest = abs(term)
-        while n < _MAX_TERMS:
-            ratios = series.ratios_for(min(_MAX_TERMS, 2 * n + 16))
-            if len(ratios) <= n:
-                raise DomainError(
-                    f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
-                    f"underflow to 0 at term {series.start_k + n + 1} "
-                    "(a lower parameter within underflow of a pole)"
-                )
-            for r in islice(ratios, n, _MAX_TERMS):
+        for block in range(_MAX_TERMS // _BLOCK):
+            ratios = _ratios(series, block)
+            for r in ratios:
                 term = term * r * z
                 total += term
                 n += 1
@@ -456,6 +430,12 @@ def _sum_series(upper, lower, z, start_term=None):
             if small >= needed:
                 est = size * n * tail if tail else size
                 return SeriesResult(complex(total), n, True, est, largest)
+            if len(ratios) < _BLOCK:
+                raise DomainError(
+                    f"{len(upper)}F{len(lower)} series: the lower-parameter factors "
+                    f"underflow to 0 at term {series.start_k + n + 1} "
+                    "(a lower parameter within underflow of a pole)"
+                )
     except OverflowError:  # abs() of a complex term past the double range
         raise _unconverged(upper, lower, n, total, term, math.inf, _OUT_OF_RANGE) from None
     raise _unconverged(upper, lower, n, total, term, largest)
@@ -595,7 +575,7 @@ def _pfq(upper, lower, z, regularized) -> SeriesResult:
     lower-parameter poles, unit argument, or the direct series.  A
     non-finite parameter (met before its series is kept) or argument
     raises :class:`DomainError`."""
-    series = _series(upper, lower)
+    series = _series(tuple(upper), tuple(lower))
     upper, lower, poles, terminating = series.upper, series.lower, series.poles, series.terminating
     z = complex(z)
     if not cmath.isfinite(z):
@@ -941,23 +921,21 @@ def legendre_polynomial(n: int, x) -> complex:
 # --------------------------------------------------------------------------
 
 _PCD_ASYMPTOTIC_CUT = 5.85  # Kummer/asymptotic crossover on the real axis
-# The last order of _pcd_kummer and its weights 2^(nu/2), sqrt(pi)/Gamma((1-nu)/2)
-# and 1/Gamma(-nu/2).  One entry (J3 uses nu = 1/3 alone); a non-finite order
-# raises at the entry of parabolic_cylinder_d, before anything is kept.
-_PCD_WEIGHTS = [None, None]
+
+
+@lru_cache(maxsize=1)  # J3 uses nu = 1/3 alone
+def _pcd_weights(nu):
+    """The weights 2^(nu/2), sqrt(pi)/Gamma((1-nu)/2) and 1/Gamma(-nu/2) of
+    _pcd_kummer, kept for the last order.  A non-finite order raises at the
+    entry of parabolic_cylinder_d, before they are asked for."""
+    return _pow(2.0, nu / 2.0), SQRT_PI * rgamma((1.0 - nu) / 2.0), rgamma(-nu / 2.0)
 
 
 def _pcd_kummer(nu, z):
     x = z * z / 2.0
     m1 = hyp1f1(-nu / 2.0, 0.5, x)
     m2 = hyp1f1((1.0 - nu) / 2.0, 1.5, x)
-    if _PCD_WEIGHTS[0] != nu:
-        _PCD_WEIGHTS[:] = nu, (
-            _pow(2.0, nu / 2.0),
-            SQRT_PI * rgamma((1.0 - nu) / 2.0),
-            rgamma(-nu / 2.0),
-        )
-    power, weight1, weight2 = _PCD_WEIGHTS[1]
+    power, weight1, weight2 = _pcd_weights(nu)
     return power * cmath.exp(-x / 2.0) * (weight1 * m1 - SQRT_TWO_PI * z * weight2 * m2)
 
 
@@ -986,7 +964,8 @@ def parabolic_cylinder_d(nu, z) -> complex:
     gamma weights; on the positive real axis beyond z ~ 5.9 an
     asymptotic expansion takes over (the two-term combination cancels
     catastrophically there).  The gamma weights depend on ``nu`` alone
-    and are kept for the last order asked for.  Measured against mpmath
+    and are kept for the last order asked for (a one-entry
+    ``functools.lru_cache``).  Measured against mpmath
     on real z in steps of 0.5 over [-20, 20] and nu in steps of 0.1 over
     [-3, 3]: relative error below 1.5e-9 outside 4.5 <= z <= 7, and
     below 1e-8 inside it for nu > -1; for nu <= -1 that window misses

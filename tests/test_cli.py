@@ -13,7 +13,7 @@ from random import Random
 import pytest
 
 import trihyp
-from trihyp import cli
+from trihyp import cli, identities
 from trihyp import specfun as sf
 from trihyp.identities import get_identity
 from trihyp.cli import (
@@ -306,6 +306,20 @@ class TestOneStopRule:
         assert [p for p in params if p[2] in ("control", "ctrl")] == []
         assert sum_series == ["upper", "lower", "z", "start_term"]
 
+
+    def test_every_memo_is_a_bounded_lru_cache(self):
+        # the package keeps state in bounded functools caches alone: no
+        # global statement and no module-level list (but __all__) to mutate
+        for path in sorted(Path(sf.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not [n for n in ast.walk(tree) if isinstance(n, ast.Global)], path.name
+            lists = [ast.unparse(n.targets[0] if isinstance(n, ast.Assign) else n.target)
+                     for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+                     and isinstance(n.value, ast.List)]
+            assert [name for name in lists if name != "__all__"] == [], path.name
+        for memo in (sf._series, sf._ratios, sf._pcd_weights, identities._i18_sides):
+            maxsize = memo.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0, memo
 
 class TestRootsCommand:
     def test_closed_quadratic(self, capsys):

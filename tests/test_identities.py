@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -250,6 +251,25 @@ class TestEquivalences:
             worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(abs(q[0]), sys.float_info.min))
             assert (rec.lhs_value, rec.rhs_value) == worst
 
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.3, 0.3j, -0.3j])
+    def test_i18_signed_zero_twins_share_the_kept_sides(self, t):
+        # the kept sides are found by value, and a t equals its twins that
+        # differ in the sign of a zero part: whichever is evaluated first,
+        # each twin gets the record it gets alone
+        t = complex(t)
+        reals = (t.real, -t.real) if t.real == 0 else (t.real,)
+        imags = (t.imag, -t.imag) if t.imag == 0 else (t.imag,)
+        twins = [complex(a, b) for a in reals for b in imags]
+        for n in range(6):
+            alone = []  # by position: the twins are equal keys
+            for twin in twins:
+                identities._i18_sides.cache_clear()
+                alone.append(repr(eval_identity("I18", {"n": n, "t": twin}, 1e-8)))
+            for i, j in itertools.permutations(range(len(twins)), 2):
+                identities._i18_sides.cache_clear()
+                eval_identity("I18", {"n": n, "t": twins[i]}, 1e-8)
+                assert repr(eval_identity("I18", {"n": n, "t": twins[j]}, 1e-8)) == alone[j]
 
 class TestKummerK02:
     def test_elementary_rhs_vs_mpmath(self):

@@ -1,8 +1,9 @@
-"""The series engine behind hyp_pfq: its shared table of term ratios, its
+"""The series engine behind hyp_pfq: its shared blocks of term ratios, its
 float carrier for real operands and its exits where a sum leaves the
 double range."""
 
 import math
+from functools import lru_cache
 from random import Random
 
 import pytest
@@ -40,46 +41,57 @@ def evaluate(case):
     return (hyp_pfq_regularized if regularized else hyp_pfq)(upper, lower, z)
 
 
-@pytest.fixture
-def empty_cache(monkeypatch):
-    monkeypatch.setattr(specfun, "_series_cache", {})
-    monkeypatch.setattr(specfun, "_series_held", 0)
-
-
-def held():
-    return sum(specfun._ENTRY_SIZE + len(e.ratios) for e in specfun._series_cache.values())
+def small_cache(monkeypatch, name, maxsize):
+    """The engine's memo ``name`` replaced by one of ``maxsize`` entries."""
+    cache = lru_cache(maxsize=maxsize)(getattr(specfun, name).__wrapped__)
+    monkeypatch.setattr(specfun, name, cache)
+    return cache
 
 
 class TestRatioTable:
-    def test_result_does_not_depend_on_the_table(self, empty_cache, monkeypatch):
+    def test_result_does_not_depend_on_the_table(self, monkeypatch):
         cold = []
         for case in CASES:
-            specfun._series_cache.clear()
+            specfun._series.cache_clear()
+            specfun._ratios.cache_clear()
             cold.append(evaluate(case))
-        # warm: every table grown by the other series and by this one
+        # warm: every block kept by the other series and by this one
         assert [evaluate(case) for case in CASES[::-1]][::-1] == cold
         assert [evaluate(case) for case in CASES] == cold
-        # evicted: a bound this small empties the cache while a sum grows its table
-        monkeypatch.setattr(specfun, "_SERIES_LIMIT", 60)
-        specfun._series_cache.clear()
+        # evicted: caches this small drop a sum's first blocks while it runs
+        assert max(res.terms_used for res in cold) > 2 * specfun._BLOCK
+        small_cache(monkeypatch, "_series", 1)
+        ratios = small_cache(monkeypatch, "_ratios", 2)
         for case, expected in zip(CASES, cold):
             assert evaluate(case) == expected
-            assert held() <= 60
+            assert ratios.cache_info().currsize <= 2
 
-    def test_size_is_bounded(self, empty_cache, monkeypatch):
-        monkeypatch.setattr(specfun, "_SERIES_LIMIT", 500)
+    def test_size_is_bounded(self, monkeypatch):
+        ratios = small_cache(monkeypatch, "_ratios", 5)  # 500 ratios
         rng = Random(3)
         for _ in range(300):
             hyp1f1(rng.uniform(-2, 2), rng.uniform(0.5, 3), rng.uniform(-20, 20))
-            assert held() <= 500
+            assert ratios.cache_info().currsize * specfun._BLOCK <= 500
         # one sum longer than the bound is still summed in full
         res = hyp_pfq((0.5, 1.0), (2.0,), 0.999)
         assert res.converged and res.terms_used > 500
-        assert held() <= 500
+        assert ratios.cache_info().currsize * specfun._BLOCK <= 500
+        # the engine's own memos are bounded as well
+        for memo in (specfun._series, specfun._ratios):
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
     def test_one_sum_fits_the_bound(self):
-        # the budget is 100 000 terms: one sum of it fits in the table
-        assert specfun._SERIES_LIMIT > specfun._MAX_TERMS == 100_000
+        # the budget is 100 000 terms, whole blocks of them: one sum of it
+        # is kept in full, so summing it again computes no ratio
+        assert specfun._MAX_TERMS == 100_000 and specfun._MAX_TERMS % specfun._BLOCK == 0
+        assert specfun._ratios.cache_info().maxsize * specfun._BLOCK >= 1 << 17
+        specfun._ratios.cache_clear()
+        for _ in range(2):
+            with pytest.raises(BudgetError, match="in 100000 terms"):
+                hyp_pfq((0.5, 1.0), (2.0,), 0.99999)
+        info = specfun._ratios.cache_info()
+        assert info.misses == info.hits == specfun._MAX_TERMS // specfun._BLOCK
 
 
 def largest_term(upper, lower, z, terms, k0=0, t0=1.0):

@@ -344,10 +344,10 @@ class TestNonFiniteArguments:
 
     @pytest.mark.parametrize("upper,lower", [((math.nan,), (1.0,)), ((1.0,), (math.inf,))])
     def test_non_finite_parameters_are_not_kept(self, upper, lower):
-        before = len(specfun._series_cache)
+        specfun._series.cache_clear()
         with pytest.raises(DomainError, match="finite parameters"):
             hyp_pfq(upper, lower, 0.5)
-        assert len(specfun._series_cache) == before
+        assert specfun._series.cache_info().currsize == 0
 
 
 class TestHypPfq:
@@ -874,7 +874,7 @@ class TestParabolicCylinder:
             return _rgamma(z)
 
         monkeypatch.setattr(specfun, "rgamma", counted)
-        monkeypatch.setattr(specfun, "_PCD_WEIGHTS", [None, None])
+        specfun._pcd_weights.cache_clear()
         for z in (-20.0, -1.5, 0.3, 4.0):
             parabolic_cylinder_d(1 / 3, z)
         assert len(calls) == 2
@@ -882,7 +882,8 @@ class TestParabolicCylinder:
             with pytest.raises(TrihypError):
                 parabolic_cylinder_d(nu, 1.0)
         # a non-finite order raises without replacing the kept entry
-        assert specfun._PCD_WEIGHTS[0] == 1 / 3 and len(calls) == 2
+        parabolic_cylinder_d(1 / 3, -0.7)
+        assert len(calls) == 2 and specfun._pcd_weights.cache_info().misses == 1
 
     def test_order_one_third_vs_mpmath(self):
         # J3's order over its whole argument range -sqrt(2 x T) <= z <= 0 and
