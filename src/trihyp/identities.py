@@ -729,8 +729,8 @@ def _resolved(m: int, x, decay: float) -> bool:
     decade, decay 0.01 to 100), J1 first fails at |x|/decay = 10^17.4
     (m = 1), 10^12.75 (m = 3), 10^8.25 (m = 11) and 10^6.1 (m = 21), and J2
     no lower, so the bound keeps a decade or more in hand.  The entries
-    hold m to at most 171, where their closed forms' factorials are
-    doubles."""
+    hold m to at most 170, where the factorials of their closed forms and
+    of their brackets' scale (c)_m/m! are doubles."""
     return abs(x) * m**9 <= 1e16 * decay
 
 
@@ -738,8 +738,8 @@ _register(
     id="J1",
     domain=Hypotheses(
         (ParamSpec("n", "int"), ParamSpec("s", "complex"), ParamSpec("x", "complex")),
-        "0 <= n <= 170, Re s > 0, Re(s + x) > 0 and |x| <= 1e16 (n+1)^-9 min(Re s, Re(s + x))",
-        lambda n, s, x: 0 <= n <= 170 and s.real > 0 and (s + x).real > 0
+        "0 <= n <= 169, Re s > 0, Re(s + x) > 0 and |x| <= 1e16 (n+1)^-9 min(Re s, Re(s + x))",
+        lambda n, s, x: 0 <= n <= 169 and s.real > 0 and (s + x).real > 0
         and _resolved(n + 1, x, min(s.real, (s + x).real)),
     ),
     lhs=quad.j1_integral,
@@ -759,11 +759,11 @@ _register(
     # 10^14.25 (n = 16 and 20); each bound keeps 1.25 decades in hand
     domain=Hypotheses(
         (ParamSpec("n", "int"), ParamSpec("p", "complex"), ParamSpec("x", "complex")),
-        "1 <= n <= 171; Re p > 0, Re(p + x) > 0 and |x| <= 1e16 n^-9 min(Re p, Re(p + x)), "
-        "or p = 0 (algebraic tail) with Re x > 0 and 1e-13 <= |x| <= 1e13",
-        lambda n, p, x: 1 <= n <= 171
-        and (x.real > 0 and 1e-13 <= abs(x) <= 1e13 if p == 0
-             else p.real > 0 and (p + x).real > 0 and _resolved(n, x, min(p.real, (p + x).real))),
+        "1 <= n <= 170 with Re p > 0, Re(p + x) > 0 and |x| <= 1e16 n^-9 min(Re p, Re(p + x)), "
+        "or 1 <= n <= 171 with p = 0 (algebraic tail), Re x > 0 and 1e-13 <= |x| <= 1e13",
+        lambda n, p, x: (1 <= n <= 171 and x.real > 0 and 1e-13 <= abs(x) <= 1e13 if p == 0
+                         else 1 <= n <= 170 and p.real > 0 and (p + x).real > 0
+                         and _resolved(n, x, min(p.real, (p + x).real))),
     ),
     lhs=quad.j2_integral,
     rhs=quad.j2_closed_form,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from functools import partial
 from typing import NamedTuple
 
@@ -139,8 +140,10 @@ def integrate_semi_infinite(
     evaluates only its new odd-index nodes, so no node is evaluated twice, and
     ``evaluations`` counts each integrand call once (the truncation-point
     search included).  A level is accepted once its change plus the truncation
-    bound is at most tol * |value| / 3, so an integral that is exactly 0 has
-    no accepted level.  A result not converged at the finest level
+    bound is at most tol * max(|value|, 2^-1022) / 3: relative, floored at
+    the smallest normal double as the verdict rule is, since a value below it
+    holds fewer than 53 bits.  So an integral that is exactly 0, whose levels
+    are rounding noise, has no accepted level.  A result not converged at the finest level
     (h = 0.5/64) raises :class:`BudgetError` with the last estimate attached.
     """
     if not -1.0 < singular_exponent < math.inf:
@@ -187,7 +190,7 @@ def integrate_semi_infinite(
         evaluations += calls
         val = raw * h
         err = abs(val - prev) + tail
-        if err <= tol * abs(val) / 3.0:
+        if err <= tol * max(abs(val), sys.float_info.min) / 3.0:
             return QuadResult(val, err, evaluations)
         prev = val
         h /= 2.0
@@ -281,8 +284,14 @@ def j1_closed_form(n: int, s, x) -> complex:
     try:
         # the bracket is sqrt(s+x) times the tail of (1-u)^(1/2) in u = x/(x+s)
         u = x / (x + s)
-        tail = u ** (n + 1) * binomial_remainder(-0.5, n + 1, u, cmath.sqrt(s) / cmath.sqrt(s + x))
-        value = -2.0 * _SQRT_PI * math.factorial(n) * cmath.sqrt(s + x) * tail
+        tail = binomial_remainder(-0.5, n + 1, u, cmath.sqrt(s) / cmath.sqrt(s + x))
+        # n! u^(n+1) as a running product of the factors k u (n <= 169 here,
+        # or the remainder refused): where u^(n+1) alone would underflow, the
+        # product falls to its end without passing below it
+        scale = u
+        for k in range(1, n + 1):
+            scale *= k * u
+        value = -2.0 * _SQRT_PI * cmath.sqrt(s + x) * scale * tail
     except (OverflowError, ZeroDivisionError):  # n! or a power past the double range, x = -s
         value = math.nan
     return _finite(value, f"j1_closed_form({n}, {s}, {x})")
@@ -312,14 +321,15 @@ def j2_closed_form(n: int, p, x) -> complex:
         if p == 0:
             value = 2.0 * _SQRT_PI * _pow(x, n - 0.5) / (2 * n - 1)
         else:
-            # the bracket is sqrt(p+x) times the tail of (1-u)^(-1/2) in u = -x/p
-            u = -x / p
-            tail = _pow(u, n) * binomial_remainder(0.5, n, u, cmath.sqrt(p) / cmath.sqrt(p + x))
+            # the bracket is sqrt(p+x) u^n times the tail of (1-u)^(-1/2) in
+            # u = -x/p, and (-p)^(n-1) u^n = -x^n/p
+            power = _pow(x, n) / p
+            tail = binomial_remainder(0.5, n, -x / p, cmath.sqrt(p) / cmath.sqrt(p + x))
             value = (
-                -_SQRT_PI
+                _SQRT_PI
                 * math.factorial(n - 1)
-                * _pow(-p, n - 1)
                 / pochhammer(0.5, n)
+                * power
                 * (cmath.sqrt(p + x) * tail)
             )
     except (OverflowError, ZeroDivisionError):  # (n-1)! or a quotient past the double range

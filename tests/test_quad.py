@@ -163,6 +163,31 @@ class TestJ1:
         # far nodes put x t where the incomplete gamma series cancels
         assert check_point("J1", {"n": n, "s": s, "x": x}, 1e-6).verdict == "pass"
 
+    @pytest.mark.parametrize("n,s,x", [(40, 1.0, 1.37e-8), (40, 3.0, 1.37e-8), (0, 1.0, 1.37e-314),
+                                       (0, 3.0, 1.37e-320), (1, 1.0, 1.37e-158), (3, 1.0, 1.37e-80)])
+    def test_tiny_values_pass(self, n, s, x):
+        # the first two: u^(n+1) was subnormal before n! scaled it, and the
+        # closed form gave 0; the rest: the value is subnormal, and the
+        # quadrature ran out of levels before its target met the floor 2^-1022
+        assert check_point("J1", {"n": n, "s": s, "x": x}, 1e-6).verdict == "pass"
+
+    def test_power_below_the_normal_range_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        n, s, x = 40, 1, mpmath.mpf(1.37e-8)
+        with mpmath.workdps(400):  # the printed form cancels some 320 digits here
+            u = x / (x + s)
+            head = sum(mpmath.rf(-0.5, k) / mpmath.factorial(k) * u**k for k in range(n + 1))
+            ref = -2 * mpmath.sqrt(mpmath.pi) * mpmath.factorial(n) * (
+                mpmath.sqrt(s) - mpmath.sqrt(s + x) * head)
+            ref = float(ref)
+        assert abs(j1_closed_form(n, s, float(x)) - ref) <= 1e-14 * abs(ref)
+
+    def test_domain_ends_where_the_remainder_scale_is_a_double(self):
+        # k0 = n + 1 = 171 has no (c)_k0/k0! in doubles: the point was skipped
+        in_domain = get_identity("J1").in_domain
+        assert in_domain(n=169, s=1 + 0j, x=1e-6 + 0j)
+        assert not in_domain(n=170, s=1 + 0j, x=1e-6 + 0j)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             check_point("J1", {"n": -1, "s": 2.0, "x": 1.0}, 1e-6)
@@ -196,11 +221,29 @@ class TestJ2:
         # t^(-1/2-n) overflows at the tanh-sinh nodes nearest t = 0
         assert check_point("J2", {"n": n, "p": 0.5, "x": 0.4}, 1e-6).verdict == "pass"
 
-    @pytest.mark.parametrize("n,p,x", [(2, 1.0, 1e200), (6, 0.0, 1e200), (6, 1e100, 1e-300)])
+    @pytest.mark.parametrize("n,p,x", [(2, 1.0, 1e200), (6, 0.0, 1e200), (6, 1e61, 1e60)])
     def test_overflowing_power_is_a_domain_error(self, n, p, x):
-        # (-x/p)^n, x^(n-1/2) and (-p)^(n-1) once raised a bare OverflowError
+        # (-x/p)^n, x^(n-1/2) and (-p)^(n-1) once raised a bare OverflowError;
+        # at the last, x^n overflows, and so does the value, about 9e328
         with pytest.raises(DomainError, match="overflows"):
             j2_closed_form(n, p, x)
+
+    def test_high_order_at_large_p_passes(self):
+        # 119! 100^119 overflowed, and the point was skipped; both sides are 0
+        rec = check_point("J2", {"n": 120, "p": 100.0, "x": 1.37e-10}, 1e-6)
+        assert rec.verdict == "pass" and rec.rhs_value == 0
+
+    def test_domain_ends_where_the_remainder_scale_is_a_double(self):
+        # p != 0 sums the remainder with k0 = n; the p = 0 branch has none
+        in_domain = get_identity("J2").in_domain
+        assert in_domain(n=170, p=1 + 0j, x=1.37e-6 + 0j)
+        assert not in_domain(n=171, p=1 + 0j, x=1.37e-6 + 0j)
+        assert check_point("J2", {"n": 171, "p": 0.0, "x": 1.0}, 1e-6).verdict == "pass"
+
+    def test_power_below_the_double_range_is_zero(self):
+        # (-p)^(n-1) = 1e500 once overflowed, and the point was refused;
+        # x^n/p, about 1e-1900, is 0
+        assert j2_closed_form(6, 1e100, 1e-300) == 0
 
     def test_preconditions(self):
         with pytest.raises(DomainError):
@@ -243,9 +286,8 @@ class TestClosedFormEntry:
     with DomainError instead of a bare exception or nan."""
 
     @pytest.mark.parametrize("fn,args", [
-        # a ValueError from factorial(-339), and nan+nanj
+        # a ValueError from factorial(-339)
         (j1_closed_form, (-339, 8e141 - 5.2e141j, 9.6e188 + 1.4e189j)),
-        (j1_closed_form, (149, -1.1e192 - 3.5e191j, 1.4e-298 + 4.9e-299j)),
         (j1_closed_form, (2.0, 1.0, 0.5)),  # n not an int
         (j1_closed_form, (171, 1.0, 0.5)),  # 171! is not a double
         (j1_closed_form, (0, math.inf, 0.5)),
@@ -257,6 +299,11 @@ class TestClosedFormEntry:
     def test_refused(self, fn, args):
         with pytest.raises(DomainError):
             fn(*args)
+
+    def test_value_below_the_double_range_is_zero(self):
+        # once nan+nanj, then a refusal, where n! sqrt(s+x) overflowed before
+        # u^(n+1), about 1e-73 000, scaled it: the value underflows to 0
+        assert j1_closed_form(149, -1.1e192 - 3.5e191j, 1.4e-298 + 4.9e-299j) == 0
 
 
 class TestJ3:

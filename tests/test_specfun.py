@@ -32,6 +32,9 @@ from trihyp.specfun import (
     rgamma,
     whipple_sum_3f2,
 )
+from trihyp.identities import coerce_params, faa_di_bruno_derivative
+from trihyp.quad import laplace_closed_form
+from trihyp.roots import TrinomialInstance, lagrange_coefficient, root_lagrange_partial, series_argument
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -349,6 +352,32 @@ class TestNonFiniteArguments:
             hyp_pfq(upper, lower, 0.5)
         assert specfun._series.cache_info().currsize == 0
 
+
+class TestRefusals:
+    """Out-of-range input that no other test reaches gets its own error."""
+
+    @pytest.mark.parametrize("fn,args,error", [
+        (legendre_p, (0.5, 0.5, -1), DomainError),  # singular at x = -1
+        (legendre_p, (0.5, 0.5, 3.5), DomainError),  # |1 - x| >= 2
+        (incomplete_beta, (1.5, -2, 1), DivergenceError),  # a pole of B(nu, mu, 1)
+        (pochhammer, (1, -1), DomainError),
+        (lower_incomplete_gamma, (0.3, 700), DomainError),  # |z| above 600
+        (faa_di_bruno_derivative, (0, 0.5), DomainError),
+        (lagrange_coefficient, (1, 2), DomainError),  # n >= 2
+        (lagrange_coefficient, (2, 10**4), DomainError),  # n k above 10^4
+        (root_lagrange_partial, (TrinomialInstance(3, 0.1), 0), DomainError),
+        (root_lagrange_partial, (TrinomialInstance(3, 0.1), 10**4), DomainError),
+        (laplace_closed_form, ((), (1.5,), 1, 0, 0.1), DomainError),  # s = 0
+        (series_argument, (1, 0.1), DomainError),  # n >= 2
+        (coerce_params, ("I02", {"t": 0.5}), DomainError),  # n is missing
+    ])
+    def test_refused(self, fn, args, error):
+        with pytest.raises(error) as raised:
+            fn(*args)
+        assert type(raised.value) is error
+
+    def test_legendre_at_one(self):
+        assert legendre_p(0.5, 0, 1) == 1
 
 class TestHypPfq:
     def test_unity_at_zero(self):
