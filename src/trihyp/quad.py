@@ -143,8 +143,9 @@ def integrate_semi_infinite(
     bound is at most tol * max(|value|, 2^-1022) / 3: relative, floored at
     the smallest normal double as the verdict rule is, since a value below it
     holds fewer than 53 bits.  So an integral that is exactly 0, whose levels
-    are rounding noise, has no accepted level.  A result not converged at the finest level
-    (h = 0.5/64) raises :class:`BudgetError` with the last estimate attached.
+    are rounding noise, has no accepted level.  A result not converged at the
+    finest level (h = 0.5/64) raises :class:`BudgetError` with the last
+    estimate attached.
     """
     if not -1.0 < singular_exponent < math.inf:
         raise DomainError("singular_exponent must be finite and exceed -1 for integrability")
@@ -292,7 +293,7 @@ def j1_closed_form(n: int, s, x) -> complex:
         for k in range(1, n + 1):
             scale *= k * u
         value = -2.0 * _SQRT_PI * cmath.sqrt(s + x) * scale * tail
-    except (OverflowError, ZeroDivisionError):  # n! or a power past the double range, x = -s
+    except (OverflowError, ZeroDivisionError):  # a quotient past the double range, x = -s
         value = math.nan
     return _finite(value, f"j1_closed_form({n}, {s}, {x})")
 
