@@ -288,6 +288,7 @@ class TestClosedFormEntry:
     @pytest.mark.parametrize("fn,args", [
         # a ValueError from factorial(-339)
         (j1_closed_form, (-339, 8e141 - 5.2e141j, 9.6e188 + 1.4e189j)),
+        (j1_closed_form, (169, 1.0, 1e100)),  # 169! sqrt(s+x), about 4e354
         (j1_closed_form, (2.0, 1.0, 0.5)),  # n not an int
         (j1_closed_form, (171, 1.0, 0.5)),  # 171! is not a double
         (j1_closed_form, (0, math.inf, 0.5)),
