@@ -306,7 +306,6 @@ class TestOneStopRule:
         assert [p for p in params if p[2] in ("control", "ctrl")] == []
         assert sum_series == ["upper", "lower", "z", "start_term"]
 
-
     def test_every_memo_is_a_bounded_lru_cache(self):
         # the package keeps state in bounded functools caches alone: no
         # global statement and no module-level list (but __all__) to mutate
@@ -320,6 +319,7 @@ class TestOneStopRule:
         for memo in (sf._series, sf._ratios, sf._pcd_weights, identities._i18_sides):
             maxsize = memo.cache_info().maxsize
             assert isinstance(maxsize, int) and maxsize > 0, memo
+
 
 class TestRootsCommand:
     def test_closed_quadratic(self, capsys):

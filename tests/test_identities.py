@@ -251,7 +251,6 @@ class TestEquivalences:
             worst = max(pairs, key=lambda q: abs(q[0] - q[1]) / max(abs(q[0]), sys.float_info.min))
             assert (rec.lhs_value, rec.rhs_value) == worst
 
-
     @pytest.mark.parametrize("t", [0.0, 0.3, -0.3, 0.3j, -0.3j])
     def test_i18_signed_zero_twins_share_the_kept_sides(self, t):
         # the kept sides are found by value, and a t equals its twins that
@@ -270,6 +269,7 @@ class TestEquivalences:
                 identities._i18_sides.cache_clear()
                 eval_identity("I18", {"n": n, "t": twins[i]}, 1e-8)
                 assert repr(eval_identity("I18", {"n": n, "t": twins[j]}, 1e-8)) == alone[j]
+
 
 class TestKummerK02:
     def test_elementary_rhs_vs_mpmath(self):

@@ -168,7 +168,7 @@ class TestJ1:
     def test_tiny_values_pass(self, n, s, x):
         # the first two: u^(n+1) was subnormal before n! scaled it, and the
         # closed form gave 0; the rest: the value is subnormal, and the
-        # quadrature ran out of levels before its target met the floor 2^-1022
+        # quadrature, its target not floored at 2^-1022, ran out of levels
         assert check_point("J1", {"n": n, "s": s, "x": x}, 1e-6).verdict == "pass"
 
     def test_power_below_the_normal_range_vs_mpmath(self):

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from trihyp import specfun
 from trihyp.errors import BudgetError, DivergenceError, DomainError, TrihypError
+from trihyp.identities import coerce_params, faa_di_bruno_derivative
+from trihyp.quad import laplace_closed_form
+from trihyp.roots import TrinomialInstance, lagrange_coefficient, root_lagrange_partial, series_argument
 from trihyp.specfun import (
     _sum_series,
     bell_polynomial,
@@ -32,9 +35,6 @@ from trihyp.specfun import (
     rgamma,
     whipple_sum_3f2,
 )
-from trihyp.identities import coerce_params, faa_di_bruno_derivative
-from trihyp.quad import laplace_closed_form
-from trihyp.roots import TrinomialInstance, lagrange_coefficient, root_lagrange_partial, series_argument
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -378,6 +378,7 @@ class TestRefusals:
 
     def test_legendre_at_one(self):
         assert legendre_p(0.5, 0, 1) == 1
+
 
 class TestHypPfq:
     def test_unity_at_zero(self):
